@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 from . import constraints as checks
 from .errors import OraError, violation_error
-from .evaluate import predicate_aggregates, predicate_columns
+from .evaluate import predicate_nodes
 from .lexer import TokenKind
 from .nodes import (
-    AlterAddConstraint, AlterModify, CheckBody, CreateTable, FallbackBody,
-    Predicate, PrimaryKeyBody, UniqueBody,
+    AggregateCall, AlterAddConstraint, AlterModify, CheckBody, ColumnRef,
+    CreateTable, FallbackBody, Predicate, PrimaryKeyBody, UniqueBody,
 )
 from .values import (
     DateType, NumberType, SqlType, SqlValue, Varchar2Type, normalize_type,
@@ -213,10 +213,10 @@ def _validate_check_predicate(schema: TableSchema,
                               stmt: AlterAddConstraint) -> None:
     body = stmt.body
     assert isinstance(body, CheckBody)
-    aggs = predicate_aggregates(body.predicate)
+    aggs = predicate_nodes(body.predicate, AggregateCall)
     if aggs:
         raise OraError(934, aggs[0].line, aggs[0].column)
-    for ref in predicate_columns(body.predicate):
+    for ref in predicate_nodes(body.predicate, ColumnRef):
         if ref.qualifier is not None and ref.qualifier != schema.name:
             raise OraError(904, ref.line, ref.column)
         if schema.find(ref.name) is None:
@@ -251,16 +251,19 @@ def modify_column(cat: Catalog, stmt: AlterModify,
     new_type = normalize_type(spec.keyword, spec.args, spec.line, spec.column)
     if _narrowing(col.type, new_type):
         raise OraError(1439, spec.line, spec.column)
-    col.type = new_type
+    # Every check runs before anything changes, so a failed MODIFY
+    # leaves the column exactly as it was.
+    adds_not_null = stmt.nullability == "NOT NULL" and not col.not_null
+    if adds_not_null:
+        idx = schema.index_of(col.name)
+        if any(row[idx] is None for row in rows):
+            raise OraError(2296)
 
-    idx = schema.index_of(col.name)
-    if stmt.nullability == "NOT NULL":
-        if not col.not_null:
-            if any(row[idx] is None for row in rows):
-                raise OraError(2296)
-            cat.constraints.append(ConstraintDef(
-                next_sys_name(cat), stmt.table, "NOTNULL", column=col.name))
-            col.not_null = True
+    col.type = new_type
+    if adds_not_null:
+        cat.constraints.append(ConstraintDef(
+            next_sys_name(cat), stmt.table, "NOTNULL", column=col.name))
+        col.not_null = True
     elif stmt.nullability == "NULL":
         cat.constraints = [c for c in cat.constraints
                            if not (c.kind == "NOTNULL"

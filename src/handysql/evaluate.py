@@ -7,7 +7,7 @@ Aggregate calls are illegal inside predicates (934).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .errors import OraError
 from .nodes import (
@@ -17,6 +17,7 @@ from .nodes import (
 from .values import SqlValue, Tristate, and3, compare_values, from_bool, not3, or3
 
 Resolver = Callable[[ColumnRef], SqlValue]
+N = TypeVar("N")
 
 
 def eval_expr(expr: Expr, resolve: Resolver) -> SqlValue:
@@ -49,50 +50,24 @@ def eval_predicate(pred: Predicate, resolve: Resolver) -> Tristate:
     raise AssertionError(f"unknown predicate {pred!r}")
 
 
-def predicate_columns(pred: Predicate) -> list[ColumnRef]:
-    """Every column reference inside a predicate, in syntax order."""
-    found: list[ColumnRef] = []
+def predicate_nodes(pred: Predicate, kind: type[N]) -> list[N]:
+    """Every node of one class inside a predicate, in syntax order.
 
-    def walk_expr(expr: Expr) -> None:
-        if isinstance(expr, ColumnRef):
-            found.append(expr)
-        elif isinstance(expr, AggregateCall) and expr.arg is not None:
-            found.append(expr.arg)
+    The walk enters comparisons, IS NULL tests, NOT, AND/OR and the
+    argument of an aggregate call, so COUNT(col) yields col as a column.
+    """
+    found: list[N] = []
 
-    def walk(p: Predicate) -> None:
-        if isinstance(p, Comparison):
-            walk_expr(p.left)
-            walk_expr(p.right)
-        elif isinstance(p, IsNull):
-            walk_expr(p.operand)
-        elif isinstance(p, Not):
-            walk(p.operand)
-        elif isinstance(p, BoolOp):
-            walk(p.left)
-            walk(p.right)
-
-    walk(pred)
-    return found
-
-
-def predicate_aggregates(pred: Predicate) -> list[AggregateCall]:
-    found: list[AggregateCall] = []
-
-    def walk_expr(expr: Expr) -> None:
-        if isinstance(expr, AggregateCall):
-            found.append(expr)
-
-    def walk(p: Predicate) -> None:
-        if isinstance(p, Comparison):
-            walk_expr(p.left)
-            walk_expr(p.right)
-        elif isinstance(p, IsNull):
-            walk_expr(p.operand)
-        elif isinstance(p, Not):
-            walk(p.operand)
-        elif isinstance(p, BoolOp):
-            walk(p.left)
-            walk(p.right)
+    def walk(node: Predicate | Expr) -> None:
+        if isinstance(node, kind):
+            found.append(node)
+        if isinstance(node, (Comparison, BoolOp)):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, (IsNull, Not)):
+            walk(node.operand)
+        elif isinstance(node, AggregateCall) and node.arg is not None:
+            walk(node.arg)
 
     walk(pred)
     return found

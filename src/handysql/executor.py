@@ -1,30 +1,46 @@
 """Statement execution over in-memory tables.
 
-Scans are plain nested loops, so result rows come out in insertion
-order and a comma join with a WHERE filter is the same computation as
-INNER JOIN ... ON.  Join output is all left-table columns then all
-right-table columns, in schema order, names un-renamed.
+A select is planned once and then run as a stream of rows.  Planning
+binds every column reference to a slot of the combined row and, when no
+predicate can raise, picks for each table after the first an equality
+with an earlier table to hash-join on.  Running pulls rows through
+generators, left to right over the FROM list, and keeps nested-loop
+order: rows follow the first table's insertion order, then the second
+table's within each, and so on.  A comma join with a WHERE filter is
+the same computation as INNER JOIN ... ON.  Join output is all
+left-table columns then all right-table columns, in schema order, names
+un-renamed.
 """
 
 from __future__ import annotations
 
+import datetime
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
 from . import catalog as cat_mod
-from .catalog import Catalog, TableSchema
+from .catalog import Catalog, ColumnSchema, TableSchema
 from .constraints import check_row
 from .errors import OraError, violation_error
-from .evaluate import eval_predicate, predicate_aggregates
+from .evaluate import eval_predicate, predicate_nodes
 from .nodes import (
-    AggregateCall, AlterAddConstraint, AlterModify, ColumnRef, CreateTable,
-    Describe, Insert, Literal, Predicate, Select, Statement,
+    AggregateCall, AlterAddConstraint, AlterModify, BoolOp, ColumnRef,
+    Comparison, CreateTable, Describe, Expr, Insert, Literal, Predicate,
+    Select, Statement, TableRef,
 )
 from .render import render_expr
 from .values import (
-    SqlValue, Tristate, coerce_value, exact_sum, round_significant,
+    DateType, NumberType, SqlValue, Tristate, Varchar2Type, coerce_value,
+    exact_sum, round_significant,
 )
+
+Row = list[SqlValue]
+
+# The Python class of every stored value of a declared type.
+_VALUE_KINDS = {NumberType: Decimal, Varchar2Type: str,
+                DateType: datetime.date}
 
 
 @dataclass
@@ -125,35 +141,110 @@ def execute_insert(db: Database, stmt: Insert) -> Feedback:
 
 
 @dataclass
-class _ScopeEntry:
+class _Source:
     keys: set[str]  # alias and/or table name
     schema: TableSchema
-    offset: int
+    offset: int  # slot of its first column in the combined row
+    rows: list[Row]
 
 
 class _Scope:
-    """Column resolution over the FROM list of one select."""
+    """The FROM list of one select: its rows, column slots and join keys."""
 
-    def __init__(self, entries: list[_ScopeEntry]):
-        self.entries = entries
+    def __init__(self, db: Database, tables: tuple[TableRef, ...]):
+        self.sources: list[_Source] = []
+        offset = 0
+        for tref in tables:
+            schema = cat_mod.resolve_schema(db.catalog, tref.table)
+            rows = _table_rows(db, tref.table)
+            if schema is None or rows is None:
+                raise OraError(942, tref.line, tref.column)
+            keys = {tref.table}
+            if tref.alias:
+                keys.add(tref.alias)
+            self.sources.append(_Source(keys, schema, offset, rows))
+            offset += len(schema.columns)
 
     def resolve(self, ref: ColumnRef) -> int:
         """Flat index of a column reference in the combined row."""
         matches: list[int] = []
-        for entry in self.entries:
-            if ref.qualifier is not None and ref.qualifier not in entry.keys:
+        for source in self.sources:
+            if ref.qualifier is not None and ref.qualifier not in source.keys:
                 continue
-            col = entry.schema.find(ref.name)
+            col = source.schema.find(ref.name)
             if col is not None:
-                matches.append(entry.offset + entry.schema.index_of(ref.name))
+                matches.append(source.offset
+                               + source.schema.index_of(ref.name))
         if not matches:
             raise OraError(904, ref.line, ref.column)
         if len(matches) > 1:
             raise OraError(918, ref.line, ref.column)
         return matches[0]
 
+    def bind(self, pred: Predicate) -> dict[ColumnRef, int]:
+        """Slot of every column in a predicate, resolved in syntax order."""
+        return {ref: self.resolve(ref)
+                for ref in predicate_nodes(pred, ColumnRef)}
 
-def _table_rows(db: Database, name: str) -> list[list[SqlValue]] | None:
+    def column_at(self, slot: int) -> tuple[int, ColumnSchema]:
+        """The source index and the column behind a slot."""
+        i = len(self.sources) - 1
+        while slot < self.sources[i].offset:
+            i -= 1
+        source = self.sources[i]
+        return i, source.schema.columns[slot - source.offset]
+
+    def may_raise(self, pred: Predicate,
+                  slot_of: dict[ColumnRef, int]) -> bool:
+        """Whether evaluating pred on some row could raise.
+
+        Stored values always have their column's declared kind, so only
+        an aggregate (934) or a comparison of two different kinds
+        (1722/932) can; a NULL literal compares with anything.
+        """
+        if predicate_nodes(pred, AggregateCall):
+            return True
+
+        def kind(expr: Expr) -> type | None:
+            if isinstance(expr, ColumnRef):
+                column = self.column_at(slot_of[expr])[1]
+                return _VALUE_KINDS[type(column.type)]
+            return None if expr.value is None else type(expr.value)
+
+        return any(len({kind(c.left), kind(c.right)} - {None}) > 1
+                   for c in predicate_nodes(pred, Comparison))
+
+    def hash_keys(self, preds: list[Predicate],
+                  slot_of: dict[ColumnRef, int],
+                  ) -> dict[int, tuple[int, int]]:
+        """Equalities to hash-join on: source index -> (left slot, column).
+
+        For each source, the first top-level AND conjunct of the form
+        x = y with y in that source and x in an earlier one.  Pairs for
+        which it is not TRUE cannot pass the predicate holding it.
+        """
+        keys: dict[int, tuple[int, int]] = {}
+        for pred in preds:
+            for conj in _conjuncts(pred):
+                if not (isinstance(conj, Comparison) and conj.op == "="
+                        and isinstance(conj.left, ColumnRef)
+                        and isinstance(conj.right, ColumnRef)):
+                    continue
+                # Slots grow with the source index, so left is the earlier.
+                left, right = sorted((slot_of[conj.left], slot_of[conj.right]))
+                i, j = self.column_at(left)[0], self.column_at(right)[0]
+                if i < j:
+                    keys.setdefault(j, (left, right - self.sources[j].offset))
+        return keys
+
+
+def _conjuncts(pred: Predicate) -> list[Predicate]:
+    if isinstance(pred, BoolOp) and pred.op == "AND":
+        return _conjuncts(pred.left) + _conjuncts(pred.right)
+    return [pred]
+
+
+def _table_rows(db: Database, name: str) -> list[Row] | None:
     if name in db.tables:
         return db.tables[name].rows
     if name == "DUAL":
@@ -164,80 +255,111 @@ def _table_rows(db: Database, name: str) -> list[list[SqlValue]] | None:
 
 
 def execute_select(db: Database, stmt: Select) -> ResultSet:
-    entries: list[_ScopeEntry] = []
-    sources: list[list[list[SqlValue]]] = []
-    offset = 0
-    for tref in stmt.tables:
-        schema = cat_mod.resolve_schema(db.catalog, tref.table)
-        rows = _table_rows(db, tref.table)
-        if schema is None or rows is None:
-            raise OraError(942, tref.line, tref.column)
-        keys = {tref.table}
-        if tref.alias:
-            keys.add(tref.alias)
-        entries.append(_ScopeEntry(keys, schema, offset))
-        sources.append(rows)
-        offset += len(schema.columns)
-    scope = _Scope(entries)
-
-    combined = _cross_product(sources)
-    if stmt.join_on is not None:
-        combined = _filter(combined, stmt.join_on, scope)
-    if stmt.where is not None:
-        _reject_aggregates(stmt.where)
-        combined = _filter(combined, stmt.where, scope)
+    scope = _Scope(db, stmt.tables)
+    matching = _matching_rows(scope, stmt.join_on, stmt.where)
 
     if stmt.items is None:
-        headers = [c.name for e in scope.entries for c in e.schema.columns]
-        return ResultSet(headers, combined)
+        headers = [c.name for s in scope.sources for c in s.schema.columns]
+        # Copies, so no caller ever holds a stored row.
+        return ResultSet(headers, [row.copy() for row in matching])
+
+    # Every filter error comes before any select-list error.
+    rows = list(matching)
 
     aggregated = any(isinstance(item.expr, AggregateCall)
                      for item in stmt.items)
     headers = [_item_header(item) for item in stmt.items]
     if aggregated:
-        row = [_eval_aggregate_item(item, combined, scope)
+        row = [_eval_aggregate_item(item, rows, scope)
                for item in stmt.items]
         return ResultSet(headers, [row])
 
     slots = _resolve_items(stmt, scope)
-    out_rows = []
-    for row in combined:
-        out_rows.append([row[slot] if slot is not None else const
-                         for slot, const in slots])
-    return ResultSet(headers, out_rows)
+    return ResultSet(headers, [
+        [row[slot] if slot is not None else const for slot, const in slots]
+        for row in rows])
 
 
-def _cross_product(
-        sources: list[list[list[SqlValue]]]) -> list[list[SqlValue]]:
-    rows: list[list[SqlValue]] = [[]]
-    for source in sources:
-        rows = [left + right for left in rows for right in source]
+def _matching_rows(scope: _Scope, on: Predicate | None,
+                   where: Predicate | None) -> Iterable[Row]:
+    """Combined rows that pass ON and then WHERE, in nested-loop order.
+
+    Errors come in the order of a nested loop that filters the whole
+    product by ON before it looks at WHERE: ON columns (904/918), ON
+    evaluation, WHERE aggregates (934), WHERE columns, WHERE evaluation.
+    """
+    slot_of = scope.bind(on) if on is not None else {}
+    rows: Iterable[Row] | None = None
+    if on is not None and scope.may_raise(on, slot_of):
+        # ON errors outrank every WHERE error, so ON runs over the whole
+        # product before WHERE is even resolved.
+        rows = list(_passing(_joined(scope.sources, {}), on, slot_of))
+        on = None
+    if where is not None:
+        aggs = predicate_nodes(where, AggregateCall)
+        if aggs:
+            raise OraError(934, aggs[0].line, aggs[0].column)
+        slot_of.update(scope.bind(where))
+    preds = [p for p in (on, where) if p is not None]
+    if rows is None:
+        # ON, if any, cannot raise here; the hash join needs WHERE safe too.
+        keys: dict[int, tuple[int, int]] = {}
+        if len(scope.sources) > 1 and not (
+                where is not None and scope.may_raise(where, slot_of)):
+            keys = scope.hash_keys(preds, slot_of)
+        rows = _joined(scope.sources, keys)
+    for pred in preds:
+        rows = _passing(rows, pred, slot_of)
     return rows
 
 
-def _filter(rows: list[list[SqlValue]], pred: Predicate,
-            scope: _Scope) -> list[list[SqlValue]]:
-    # Pre-resolve against the schema so unknown columns surface even
-    # when there are no rows to scan.
-    for ref in _predicate_refs(pred):
-        scope.resolve(ref)
-    kept = []
+def _joined(sources: list[_Source],
+            keys: dict[int, tuple[int, int]]) -> Iterable[Row]:
+    """The FROM list's combined rows, hash-joining sources that have keys."""
+    rows: Iterable[Row] = sources[0].rows
+    for i in range(1, len(sources)):
+        right = sources[i].rows
+        if i in keys:
+            rows = _hash_join(rows, right, *keys[i])
+        else:
+            rows = _nested_join(rows, right)
+    return rows
+
+
+def _nested_join(left_rows: Iterable[Row],
+                 right_rows: list[Row]) -> Iterator[Row]:
+    for left in left_rows:
+        for right in right_rows:
+            yield left + right
+
+
+def _hash_join(left_rows: Iterable[Row], right_rows: list[Row],
+               left_slot: int, right_col: int) -> Iterator[Row]:
+    """Only the pairs whose two key values are equal and not NULL.
+
+    Buckets keep insertion order, so the output order is the nested
+    loop's.
+    """
+    buckets: dict[SqlValue, list[Row]] = {}
+    for right in right_rows:
+        if right[right_col] is not None:
+            buckets.setdefault(right[right_col], []).append(right)
+    for left in left_rows:
+        for right in buckets.get(left[left_slot], ()):
+            yield left + right
+
+
+def _passing(rows: Iterable[Row], pred: Predicate,
+             slot_of: dict[ColumnRef, int]) -> Iterator[Row]:
+    """The rows on which pred is TRUE, evaluated in order."""
+    row: Row = []
+
+    def resolve(ref: ColumnRef) -> SqlValue:
+        return row[slot_of[ref]]
+
     for row in rows:
-        state = eval_predicate(pred, lambda ref: row[scope.resolve(ref)])
-        if state is Tristate.TRUE:
-            kept.append(row)
-    return kept
-
-
-def _predicate_refs(pred: Predicate) -> list[ColumnRef]:
-    from .evaluate import predicate_columns
-    return predicate_columns(pred)
-
-
-def _reject_aggregates(pred: Predicate) -> None:
-    aggs = predicate_aggregates(pred)
-    if aggs:
-        raise OraError(934, aggs[0].line, aggs[0].column)
+        if eval_predicate(pred, resolve) is Tristate.TRUE:
+            yield row
 
 
 def _item_header(item) -> str:
@@ -262,8 +384,7 @@ def _resolve_items(stmt: Select, scope: _Scope):
     return slots
 
 
-def _eval_aggregate_item(item, rows: list[list[SqlValue]],
-                         scope: _Scope) -> SqlValue:
+def _eval_aggregate_item(item, rows: list[Row], scope: _Scope) -> SqlValue:
     expr = item.expr
     if isinstance(expr, Literal):
         return expr.value

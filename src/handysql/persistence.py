@@ -20,7 +20,9 @@ edited into an inconsistent state is rejected rather than trusted.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
+import os
 from decimal import Decimal
 
 from .catalog import ColumnSchema, ConstraintDef, TableSchema
@@ -101,8 +103,23 @@ def saves(db: Database) -> str:
 
 
 def save(db: Database, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(saves(db))
+    """Write a snapshot; a failed or interrupted save keeps the old file.
+
+    The text goes to a temporary file beside the target, reaches the
+    disk, and only then replaces the target in one rename.
+    """
+    text = saves(db)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _parse_row(schema: TableSchema, line: str) -> list[SqlValue]:

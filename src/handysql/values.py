@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, localcontext
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from enum import Enum
 from fractions import Fraction
 
@@ -192,8 +192,13 @@ def coerce_value(value: SqlValue, target: SqlType) -> SqlValue:
         if isinstance(value, Decimal):
             with localcontext() as ctx:
                 ctx.prec = _EXACT_PRECISION
-                rounded = value.quantize(
-                    Decimal(1).scaleb(-target.scale), rounding=ROUND_HALF_UP)
+                try:
+                    rounded = value.quantize(
+                        Decimal(1).scaleb(-target.scale),
+                        rounding=ROUND_HALF_UP)
+                except InvalidOperation:
+                    # More digits than even the working precision holds.
+                    raise OraError(1438) from None
                 if abs(rounded) >= Decimal(1).scaleb(
                         target.precision - target.scale):
                     raise OraError(1438)

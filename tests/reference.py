@@ -13,6 +13,9 @@ Predicate shape:
 operand shape:
     ("col", name) | ("lit", value)
 with values being None, int, Fraction, str, or datetime.date.
+
+The SELECT oracle is the exception to the tuple shapes: it runs a
+parsed statement tree by brute force over every combination of rows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,11 @@ from __future__ import annotations
 import datetime
 import random
 import string
+from decimal import Decimal
 from fractions import Fraction
+
+from handysql.nodes import (AggregateCall, ColumnRef, Comparison, IsNull,
+                            Literal, Not)
 
 TRUE, FALSE, UNKNOWN = "T", "F", "U"
 
@@ -211,6 +218,122 @@ def key_violation(existing: list[dict], row: dict, columns,
 def check_violation(pred, row: dict) -> bool:
     """CHECK fails only on definite FALSE; UNKNOWN is tolerated."""
     return eval_pred(pred, row) == FALSE
+
+
+# --- nested-loop SELECT oracle ---------------------------------------
+
+class Expected(Exception):
+    """The error a statement must raise: (code, line, column)."""
+
+    def __init__(self, code: int, node):
+        super().__init__(code)
+        self.where = (code, node.line, node.column)
+
+
+def _operands(pred) -> list:
+    """Expressions of a predicate tree, in syntax order."""
+    if isinstance(pred, Comparison):
+        return [pred.left, pred.right]
+    if isinstance(pred, IsNull):
+        return [pred.operand]
+    if isinstance(pred, Not):
+        return _operands(pred.operand)
+    return _operands(pred.left) + _operands(pred.right)
+
+
+def _columns(pred) -> list:
+    return [e.arg if isinstance(e, AggregateCall) else e
+            for e in _operands(pred)
+            if isinstance(e, ColumnRef)
+            or (isinstance(e, AggregateCall) and e.arg is not None)]
+
+
+def nested_loop_select(tables: dict, stmt) -> list[list]:
+    """Rows of a parsed SELECT, by brute force, or raise Expected.
+
+    tables maps a table name to (column names, rows).  Every combination
+    of rows is built first; ON filters all of them, then WHERE filters
+    what is left, and errors surface in that order.  Both sides of
+    AND/OR are always evaluated.  Aggregates are COUNT, MIN and MAX.
+    """
+    header: list[tuple[set, str]] = []  # (qualifiers, column name)
+    product: list[list] = [[]]
+    for tref in stmt.tables:
+        if tref.table not in tables:
+            raise Expected(942, tref)
+        names, rows = tables[tref.table]
+        qualifiers = {tref.table, tref.alias} - {None}
+        header += [(qualifiers, name) for name in names]
+        product = [combo + list(row) for combo in product for row in rows]
+
+    def position(ref) -> int:
+        hits = [i for i, (qualifiers, name) in enumerate(header)
+                if name == ref.name
+                and (ref.qualifier is None or ref.qualifier in qualifiers)]
+        if not hits:
+            raise Expected(904, ref)
+        if len(hits) > 1:
+            raise Expected(918, ref)
+        return hits[0]
+
+    def value(expr, combo):
+        if isinstance(expr, Literal):
+            return expr.value
+        if isinstance(expr, AggregateCall):
+            raise Expected(934, expr)
+        return combo[position(expr)]
+
+    def truth(pred, combo) -> str:
+        if isinstance(pred, Comparison):
+            left, right = value(pred.left, combo), value(pred.right, combo)
+            if left is None or right is None:
+                return UNKNOWN
+            if type(left) is not type(right):
+                mixed = {type(left), type(right)} == {str, Decimal}
+                raise Expected(1722 if mixed else 932, pred)
+            return compare(pred.op, left, right)
+        if isinstance(pred, IsNull):
+            state = TRUE if value(pred.operand, combo) is None else FALSE
+            return not3(state) if pred.negated else state
+        if isinstance(pred, Not):
+            return not3(truth(pred.operand, combo))
+        left, right = truth(pred.left, combo), truth(pred.right, combo)
+        return and3(left, right) if pred.op == "AND" else or3(left, right)
+
+    if stmt.join_on is not None:
+        for ref in _columns(stmt.join_on):
+            position(ref)
+        product = [c for c in product if truth(stmt.join_on, c) == TRUE]
+    if stmt.where is not None:
+        for expr in _operands(stmt.where):
+            if isinstance(expr, AggregateCall):
+                raise Expected(934, expr)
+        for ref in _columns(stmt.where):
+            position(ref)
+        product = [c for c in product if truth(stmt.where, c) == TRUE]
+
+    if stmt.items is None:
+        return product
+    exprs = [item.expr for item in stmt.items]
+    if not any(isinstance(e, AggregateCall) for e in exprs):
+        cells = [(position(e), None) if isinstance(e, ColumnRef)
+                 else (None, e.value) for e in exprs]
+        return [[c[i] if i is not None else lit for i, lit in cells]
+                for c in product]
+    folded = []
+    for expr in exprs:
+        if isinstance(expr, Literal):
+            folded.append(expr.value)
+        elif isinstance(expr, ColumnRef):
+            raise Expected(937, expr)
+        elif expr.arg is None:
+            folded.append(len(product))
+        else:
+            i = position(expr.arg)
+            fold = {"COUNT": fold_count, "MIN": fold_min,
+                    "MAX": fold_max}[expr.func]
+            folded.append(fold([c[i] for c in product]))
+    return [folded]
 
 
 # --- generators ------------------------------------------------------

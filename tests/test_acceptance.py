@@ -5,7 +5,9 @@ randomized properties judged against the independent oracles in
 reference.py, driven by fixed seeds so runs are repeatable.
 """
 
+import datetime
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -128,32 +130,178 @@ def test_criterion_05_join_dialog():
         assert name in grid
 
 
+# Join keys come from small domains, so matches and duplicate keys are
+# common; the second table sometimes draws from the upper half only, so
+# that no key matches at all.
+_KEY_DOMAINS = {
+    "number": [1, 2, 3, 4, 5, 6, 7, 8],
+    "text": ["A", "B", "C", "D", "a", "b", "c", "d"],
+    "date": [datetime.date(2001, 2, d) for d in range(1, 9)],
+}
+# Mixed scales put 1 and 1.0000 on the two sides of a number key.
+_KEY_TYPES = {"number": ["NUMBER(10,4)", "NUMBER(5)", "NUMBER"],
+              "text": ["VARCHAR2(30)", "VARCHAR2(3)"], "date": ["DATE"]}
+# A literal of another kind for each column kind, and the error a
+# comparison with it raises.
+_OTHER_KIND = {"number": ("'X'", 1722), "text": ("7", 1722),
+               "date": ("'X'", 932)}
+
+
+def _join_tables(rng, used):
+    """Three tables, each with one key column of a shared kind."""
+    kind = rng.choice(list(_KEY_DOMAINS))
+    tables = []
+    for n in range(3):
+        name = ref.gen_name(rng, used)
+        cols = ref.gen_columns(rng, used, 1, 3)
+        key = ref.gen_name(rng, used)
+        cols[key] = kind
+        rows = ref.gen_rows(rng, cols, n_max=4)
+        low = 4 if n == 1 and rng.random() < 0.2 else 0
+        for row in rows:
+            row[key] = (None if rng.random() < 0.2
+                        else rng.choice(_KEY_DOMAINS[kind][low:low + 4]))
+        types = {c: ref.sql_type(k) for c, k in cols.items()}
+        types[key] = rng.choice(_KEY_TYPES[kind])
+        tables.append((name, cols, key, rows, types))
+    return tables
+
+
+def _random_join_query(rng, tables):
+    """A random join over the tables from _join_tables, as SQL text.
+
+    Equalities between key columns sit beside residual conjuncts, OR,
+    NOT and IS NULL, and now and then an error: a cross-kind comparison,
+    an unknown or ambiguous column, an aggregate in a predicate, or a
+    plain column beside an aggregate in the select list.
+    """
+    (ta, *_), (tb, *_), (tc, *_) = tables
+    shape = rng.choice(["comma2", "comma3", "self", "inner"])
+    picked = {"comma2": [(0, "A"), (1, "B")],
+              "comma3": [(0, "A"), (1, "B"), (2, "C")],
+              "self": [(0, "X"), (0, "Y")],
+              "inner": [(0, "A"), (1, "B")]}[shape]
+    froms, cols = [], []
+    for idx, alias in picked:
+        name, kinds, key, _, _ = tables[idx]
+        if shape != "self" and rng.random() < 0.3:
+            alias = None
+        froms.append(f"{name} {alias}" if alias else name)
+        cols.append([(alias or name, c, k, c == key)
+                     for c, k in kinds.items()])
+
+    def column(pool=None, kind=None):
+        pool = pool or [c for source in cols for c in source]
+        pool = [c for c in pool if kind is None or c[2] == kind]
+        if not pool:
+            return None
+        qual, name, k, _ = rng.choice(pool)
+        # Unqualified names are unique, except in a self-join (918).
+        text = name if rng.random() < 0.1 else f"{qual}.{name}"
+        return text, k
+
+    def equality():
+        i = rng.randrange(1, len(cols))
+        left = next(f"{q}.{c}" for q, c, _, is_key in cols[i - 1] if is_key)
+        right = next(f"{q}.{c}" for q, c, _, is_key in cols[i] if is_key)
+        return f"{left} = {right}" if rng.random() < 0.5 \
+            else f"{right} = {left}"
+
+    def error():
+        roll = rng.random()
+        text, kind = column()
+        if roll < 0.5:
+            literal, _ = _OTHER_KIND[kind]
+            return f"{text} = {literal}"
+        if roll < 0.7:
+            other = column(kind=rng.choice(
+                [k for k in _OTHER_KIND if k != kind]))
+            return f"{text} < {other[0]}" if other else f"{text} = 'X'"
+        if roll < 0.85:
+            return f"{cols[0][0][0]}.NO_SUCH_COLUMN IS NULL"
+        return f"COUNT({text}) > 1"
+
+    def piece(depth=0):
+        roll = rng.random()
+        if roll < 0.35:
+            return equality()
+        if roll < 0.65:
+            text, kind = column()
+            if kind == "date":
+                other = column(kind="date")
+                return f"{text} >= {other[0]}"
+            value = ref.gen_value(rng, kind, null_rate=0.1)
+            op = rng.choice(["=", "!=", "<", ">="])
+            return f"{text} {op} {ref.sql_literal(value)}"
+        if roll < 0.75:
+            text, _ = column()
+            return f"{text} IS {rng.choice(['', 'NOT '])}NULL"
+        if roll < 0.85 and depth == 0:
+            return f"({piece(1)} OR {piece(1)})"
+        if roll < 0.9 and depth == 0:
+            return f"NOT ({piece(1)})"
+        return error() if rng.random() < 0.5 else equality()
+
+    def conjunction():
+        return " AND ".join(piece() for _ in range(rng.randint(1, 3)))
+
+    roll = rng.random()
+    if roll < 0.35:
+        items = "*"
+    elif roll < 0.7:
+        chosen = [column()[0] for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.2:
+            chosen.append(rng.choice(["7", "'LIT'", "NULL"]))
+        if rng.random() < 0.05:
+            chosen.append("NO_SUCH_COLUMN")
+        items = ", ".join(chosen)
+    else:
+        chosen = [rng.choice(["COUNT(*)", f"COUNT({column()[0]})",
+                              f"MIN({column()[0]})", f"MAX({column()[0]})"])
+                  for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.1:
+            chosen.append(column()[0])
+        items = ", ".join(chosen)
+    if shape == "inner":
+        text = (f"SELECT {items} FROM {froms[0]} INNER JOIN {froms[1]} "
+                f"ON {conjunction()}")
+        if rng.random() < 0.5:
+            text += f" WHERE {conjunction()}"
+        return shape, text
+    text = f"SELECT {items} FROM {', '.join(froms)}"
+    if rng.random() < 0.9:
+        text += f" WHERE {conjunction()}"
+    return shape, text
+
+
+def _cells(rows):
+    return [[Fraction(v) if isinstance(v, (Decimal, int)) else v
+             for v in row] for row in rows]
+
+
 def test_criterion_06_join_forms_agree():
+    """Comma and INNER joins agree, and random joins match a nested loop.
+
+    Every random query over three small tables must give the rows of
+    tests/reference.py's brute-force SELECT, or the same ORA code at
+    the same position: hash-joined, streamed execution may change the
+    work done, never the outcome.
+    """
     rng = random.Random(1306)
     nonempty = 0
+    seen = Counter()
     for _ in range(1000):
         used = set()
-        ta, tb = ref.gen_name(rng, used), ref.gen_name(rng, used)
-        cols_a = ref.gen_columns(rng, used, 1, 3)
-        cols_b = ref.gen_columns(rng, used, 1, 3)
-        ja, jb = ref.gen_name(rng, used), ref.gen_name(rng, used)
-        cols_a[ja] = cols_b[jb] = "number"
-        rows_a = ref.gen_rows(rng, cols_a, n_max=4)
-        rows_b = ref.gen_rows(rng, cols_b, n_max=4)
-        # draw join keys from a tiny domain so matches actually happen
-        for row in rows_a:
-            row[ja] = None if rng.random() < 0.2 else rng.randint(1, 4)
-        for row in rows_b:
-            row[jb] = None if rng.random() < 0.2 else rng.randint(1, 4)
+        tables = _join_tables(rng, used)
         db = Database()
-        for name, cols, rows in ((ta, cols_a, rows_a), (tb, cols_b, rows_b)):
-            decl = ", ".join(f"{c} {ref.sql_type(k)}"
-                             for c, k in cols.items())
+        for name, cols, _, rows, types in tables:
+            decl = ", ".join(f"{c} {types[c]}" for c in cols)
             execute(db, parse_text(f"CREATE TABLE {name}({decl})"))
             for row in rows:
                 vals = ", ".join(ref.sql_literal(row[c]) for c in cols)
                 execute(db, parse_text(
                     f"INSERT INTO {name} VALUES({vals})"))
+        (ta, cols_a, ja, rows_a, _), (tb, cols_b, jb, rows_b, _) = tables[:2]
         comma = execute(db, parse_text(
             f"SELECT * FROM {ta} A, {tb} B WHERE A.{ja} = B.{jb}"))
         joined = execute(db, parse_text(
@@ -168,7 +316,30 @@ def test_criterion_06_join_forms_agree():
         want = [[ref_cell(v) for v in row] for row in expected]
         assert got == want
         nonempty += bool(expected)
+
+        stored = {name: (list(db.tables[name].schema.column_names()),
+                         db.tables[name].rows) for name, *_ in tables}
+        for _ in range(4):
+            shape, text = _random_join_query(rng, tables)
+            stmt = parse_text(text)
+            try:
+                want = ("rows", _cells(ref.nested_loop_select(stored, stmt)))
+            except ref.Expected as err:
+                want = ("error", err.where)
+            try:
+                got = ("rows", _cells(execute(db, stmt).rows))
+            except OraError as err:
+                got = ("error", (err.code, err.line, err.column))
+            assert got == want, text
+            seen[shape, want[1][0] if want[0] == "error"
+                 else "rows" if want[1] else "empty"] += 1
     assert nonempty >= 200
+    for shape in ("comma2", "comma3", "self", "inner"):
+        assert seen[shape, "rows"] >= 100, seen
+        for code in (904, 934, 1722):
+            assert seen[shape, code] >= 5, seen
+    assert seen["self", 918] >= 5, seen
+    assert sum(n for (_, code), n in seen.items() if code == 937) >= 5, seen
 
 
 def test_criterion_07_aggregate_identities():

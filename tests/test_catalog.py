@@ -174,6 +174,13 @@ def test_modify_not_null_with_nulls_is_2296(classroom):
         classroom, "ALTER TABLE STUDENTS MODIFY S_ADDRESS VARCHAR(20) "
                    "NOT NULL")
     assert ora_code(block) == 2296
+    before = run_sql(classroom, "DESC STUDENTS")
+    widening = run_sql(
+        classroom, "ALTER TABLE STUDENTS MODIFY S_ADDRESS VARCHAR(30) "
+                   "NOT NULL")
+    assert ora_code(widening) == 2296
+    # The failed statement changed nothing, not even the type.
+    assert run_sql(classroom, "DESC STUDENTS") == before
 
 
 def test_modify_back_to_null_clears_flag(classroom):

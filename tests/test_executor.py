@@ -4,6 +4,7 @@ import pytest
 
 from conftest import ora_code, run_sql
 
+from handysql import executor
 from handysql.errors import OraError
 from handysql.executor import ResultSet, eval_aggregate, execute
 from handysql.parser import parse_text
@@ -49,6 +50,14 @@ def test_coercion_error_points_at_offending_literal(classroom):
     assert block[1].index("*") == text.index("'XY'")
 
 
+def test_number_beyond_working_precision_is_1438(session):
+    run_sql(session, "CREATE TABLE T(N NUMBER)")
+    text = f"INSERT INTO T VALUES ({'9' * 300})"
+    block = run_sql(session, text)
+    assert ora_code(block) == 1438
+    assert block[1].index("*") == text.index("9")
+
+
 def test_unknown_column_fires_even_on_empty_table(session):
     run_sql(session, "CREATE TABLE T(A NUMBER)")
     block = run_sql(session, "SELECT NOPE FROM T")
@@ -90,6 +99,31 @@ def test_comma_where_equals_inner_join_on(classroom):
                    "ON S.S_ROLL = C.C_SROLL")
     assert comma.headers == inner.headers
     assert comma.rows == inner.rows
+
+
+def test_equi_join_evaluates_only_matching_pairs(session, monkeypatch):
+    run_sql(session, "CREATE TABLE T(K NUMBER, V VARCHAR2(5))")
+    run_sql(session, "CREATE TABLE U(K NUMBER(5,2), W DATE)")
+    for k in range(10):
+        run_sql(session, f"INSERT INTO T VALUES({k}, 'V{k}')")
+        run_sql(session, f"INSERT INTO U VALUES({9 - k}, NULL)")
+    run_sql(session, "INSERT INTO U VALUES(NULL, NULL)")
+    calls = []
+    evaluate = executor.eval_predicate
+    monkeypatch.setattr(executor, "eval_predicate",
+                        lambda *args: calls.append(1) or evaluate(*args))
+    rs = select(session, "SELECT T.V, U.K FROM T, U "
+                         "WHERE U.K = T.K AND T.V != 'V3'")
+    assert [r[0] for r in rs.rows] == [f"V{k}" for k in range(10) if k != 3]
+    assert len(calls) == 10  # one candidate per T row, not 10 x 11
+    # A conjunct that may raise sends every pair through the nested
+    # loop, so it raises even though no key matches.
+    run_sql(session, "CREATE TABLE X(K NUMBER)")
+    run_sql(session, "INSERT INTO X VALUES(50)")
+    text = "SELECT * FROM T, X WHERE T.K = X.K AND T.V = 5"
+    block = run_sql(session, text)
+    assert ora_code(block) == 1722
+    assert block[1].index("*") == text.rindex("=")
 
 
 def test_cross_product_without_predicate(classroom):

@@ -58,6 +58,18 @@ def test_loaded_db_behaves_like_original(tmp_path):
     assert "ORA-00001" in "\n".join(dup)
 
 
+def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.handydb"
+    persistence.save(build_db(*SETUP), str(path))
+    old = path.read_text()
+    # A lone surrogate cannot be encoded, so the write fails part way.
+    monkeypatch.setattr(persistence, "saves", lambda db: "HANDYDB 1\udc80")
+    with pytest.raises(UnicodeEncodeError):
+        persistence.save(Database(), str(path))
+    assert path.read_text() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["t.handydb"]
+
+
 def test_counter_round_trips():
     db = build_db(*SETUP)
     assert db.catalog.sys_name_counter == 5546
