@@ -2,12 +2,16 @@
 
 The catalog stores table schemas in creation order, a flat constraint
 list (also creation order, which is what USER_CONSTRAINTS reports), and
-the counter behind generated SYS_C names.  DUAL and USER_CONSTRAINTS are
-built-in read-only relations.
+the counter behind generated SYS_C names.  The constraint list is the
+only record of nullability: a column is NOT NULL when a NOTNULL or PK
+constraint covers it.  BUILTINS declares the read-only relations DUAL
+and USER_CONSTRAINTS, each as a schema and a function from the catalog
+to its rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import constraints as checks
@@ -34,7 +38,6 @@ _DESC_TYPE_WIDTH = 20
 class ColumnSchema:
     name: str
     type: SqlType
-    not_null: bool = False
 
 
 @dataclass
@@ -75,31 +78,6 @@ class Catalog:
     sys_name_counter: int = SYS_NAME_SEED
 
 
-def dual_schema() -> TableSchema:
-    return TableSchema("DUAL", [ColumnSchema("DUMMY", Varchar2Type(1))])
-
-
-def user_constraints_schema() -> TableSchema:
-    return TableSchema("USER_CONSTRAINTS", [
-        ColumnSchema("CONSTRAINT_NAME", Varchar2Type(30)),
-        ColumnSchema("TABLE_NAME", Varchar2Type(30)),
-        ColumnSchema("CONSTRAINT_TYPE", Varchar2Type(1)),
-    ])
-
-VIRTUAL_TABLES = ("DUAL", "USER_CONSTRAINTS")
-
-
-def resolve_schema(cat: Catalog, name: str) -> TableSchema | None:
-    """Stored table or built-in relation schema, None if unknown."""
-    if name in cat.tables:
-        return cat.tables[name]
-    if name == "DUAL":
-        return dual_schema()
-    if name == "USER_CONSTRAINTS":
-        return user_constraints_schema()
-    return None
-
-
 _TYPE_CODES = {"PK": "P", "UNIQUE": "U", "CHECK": "C", "NOTNULL": "C"}
 
 
@@ -112,8 +90,20 @@ def user_constraints_rows(cat: Catalog) -> list[list[SqlValue]]:
     return [[c.name, c.table, _TYPE_CODES[c.kind]] for c in cat.constraints]
 
 
+BUILTINS: dict[str, tuple[TableSchema,
+                          Callable[[Catalog], list[list[SqlValue]]]]] = {
+    "DUAL": (TableSchema("DUAL", [ColumnSchema("DUMMY", Varchar2Type(1))]),
+             lambda cat: [["X"]]),
+    "USER_CONSTRAINTS": (TableSchema("USER_CONSTRAINTS", [
+        ColumnSchema("CONSTRAINT_NAME", Varchar2Type(30)),
+        ColumnSchema("TABLE_NAME", Varchar2Type(30)),
+        ColumnSchema("CONSTRAINT_TYPE", Varchar2Type(1)),
+    ]), user_constraints_rows),
+}
+
+
 def create_table(cat: Catalog, stmt: CreateTable) -> str:
-    if stmt.table in cat.tables or stmt.table in VIRTUAL_TABLES:
+    if stmt.table in cat.tables or stmt.table in BUILTINS:
         raise OraError(955, stmt.line, stmt.column)
     seen: set[str] = set()
     columns: list[ColumnSchema] = []
@@ -132,16 +122,20 @@ def create_table(cat: Catalog, stmt: CreateTable) -> str:
 def describe(cat: Catalog, name: str,
              line: int = 1, column: int = 1) -> list[str]:
     """The fixed-width DESC listing: Name, Null?, Type."""
-    schema = resolve_schema(cat, name)
-    if schema is None:
+    if name in cat.tables:
+        schema = cat.tables[name]
+    elif name in BUILTINS:
+        schema = BUILTINS[name][0]
+    else:
         raise OraError(4043, line, column, name=name)
+    not_null = checks.not_null_sources(cat, name)
     header = (f"{'Name':<{_DESC_NAME_WIDTH}} "
               f"{'Null?':<{_DESC_NULL_WIDTH}} Type")
     rule = " ".join("-" * w for w in
                     (_DESC_NAME_WIDTH, _DESC_NULL_WIDTH, _DESC_TYPE_WIDTH))
     lines = [header.rstrip(), rule]
     for col in schema.columns:
-        null_mark = "NOT NULL" if col.not_null else ""
+        null_mark = "NOT NULL" if col.name in not_null else ""
         lines.append((f"{col.name:<{_DESC_NAME_WIDTH}} "
                       f"{null_mark:<{_DESC_NULL_WIDTH}} "
                       f"{type_display(col.type)}").rstrip())
@@ -203,9 +197,6 @@ def add_constraint(cat: Catalog, stmt: AlterAddConstraint,
     if violation is not None:
         raise violation_error(violation)
     cat.constraints.append(definition)
-    if definition.kind == "PK":
-        for col in definition.columns:
-            schema.find(col).not_null = True
     return "Table altered."
 
 
@@ -240,8 +231,9 @@ def modify_column(cat: Catalog, stmt: AlterModify,
 
     Only same-kind, non-narrowing type changes are allowed (1439).
     Setting NOT NULL scans live rows first (2296) and registers a
-    generated SYS_C constraint; dropping it removes that constraint but
-    never unsets a flag a primary key put there.
+    generated SYS_C constraint unless one already covers the column;
+    dropping it removes the column's NOTNULL constraints, so a column
+    in a primary key stays NOT NULL.
     """
     schema = _stored_table(cat, stmt)
     col = schema.find(stmt.change.name)
@@ -253,7 +245,8 @@ def modify_column(cat: Catalog, stmt: AlterModify,
         raise OraError(1439, spec.line, spec.column)
     # Every check runs before anything changes, so a failed MODIFY
     # leaves the column exactly as it was.
-    adds_not_null = stmt.nullability == "NOT NULL" and not col.not_null
+    adds_not_null = (stmt.nullability == "NOT NULL" and col.name not in
+                     checks.not_null_sources(cat, stmt.table))
     if adds_not_null:
         idx = schema.index_of(col.name)
         if any(row[idx] is None for row in rows):
@@ -263,15 +256,9 @@ def modify_column(cat: Catalog, stmt: AlterModify,
     if adds_not_null:
         cat.constraints.append(ConstraintDef(
             next_sys_name(cat), stmt.table, "NOTNULL", column=col.name))
-        col.not_null = True
     elif stmt.nullability == "NULL":
         cat.constraints = [c for c in cat.constraints
                            if not (c.kind == "NOTNULL"
                                    and c.table == stmt.table
                                    and c.column == col.name)]
-        pk_covers = any(c.kind == "PK" and c.table == stmt.table
-                        and col.name in c.columns
-                        for c in cat.constraints)
-        if not pk_covers:
-            col.not_null = False
     return "Table altered."

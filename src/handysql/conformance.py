@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import persistence
 from .executor import Database
-from .shell import Session, execute_statement, strip_terminator
+from .shell import Session, execute_statement, parse_bind, strip_terminator
 
 SUITES: dict[str, tuple[str, str]] = {
     "ddl": ("ddl.transcript", "empty"),
@@ -95,11 +95,9 @@ def parse_transcript(text: str) -> list[TranscriptEntry]:
         line = lines[i]
         stripped = line.strip()
         if _is_directive(stripped):
-            body = stripped[2:].strip()
-            if body.startswith("bind "):
-                name, eq, value = body[4:].strip().partition("=")
-                if eq:
-                    binds.append((name.strip(), value))
+            bind = parse_bind(stripped)
+            if bind is not None:
+                binds.append(bind)
             i += 1
             continue
         if line.startswith(_PROMPT_PREFIX):

@@ -4,8 +4,8 @@ check_row guards a candidate insert, validate_existing guards new
 constraints and reloaded snapshots.  Both return the first Violation
 found or None; mapping violations to ORA codes happens elsewhere.
 
-Evaluation order: not-null flags first (in column order), then the
-registered constraints in creation order.  Uniqueness never fires on
+Evaluation order: NOT NULL constraints first (in column order), then
+the registered constraints in creation order.  Uniqueness never fires on
 key tuples containing NULL.
 """
 
@@ -54,26 +54,34 @@ def _key_tuple(schema: TableSchema, columns: tuple[str, ...],
     return values
 
 
-def _not_null_source(cat: Catalog, table: str, column: str) -> ConstraintDef:
-    """The constraint that put a not-null flag on a column."""
+def not_null_sources(cat: Catalog, table: str) -> dict[str, ConstraintDef]:
+    """NOT NULL columns of a table and the constraint behind each.
+
+    A column maps to the first NOTNULL or PK constraint covering it, in
+    creation order; that is the constraint a NULL in it violates.
+    """
+    sources: dict[str, ConstraintDef] = {}
     for c in cat.constraints:
         if c.table != table:
             continue
-        if c.kind == "NOTNULL" and c.column == column:
-            return c
-        if c.kind == "PK" and column in c.columns:
-            return c
-    raise AssertionError(f"no constraint behind NOT NULL on {column}")
+        if c.kind == "NOTNULL":
+            sources.setdefault(c.column, c)
+        elif c.kind == "PK":
+            for column in c.columns:
+                sources.setdefault(column, c)
+    return sources
 
 
 def check_row(cat: Catalog, table: str, row: list[SqlValue],
               existing: list[list[SqlValue]]) -> Violation | None:
     """First violation a candidate row would cause, or None."""
     schema = cat.tables[table]
-    for idx, col in enumerate(schema.columns):
-        if col.not_null and row[idx] is None:
-            return Violation(_not_null_source(cat, table, col.name),
-                             NULL_COLUMN, len(existing))
+    if None in row:
+        not_null = not_null_sources(cat, table)
+        for col, value in zip(schema.columns, row):
+            if value is None and col.name in not_null:
+                return Violation(not_null[col.name], NULL_COLUMN,
+                                 len(existing))
     for c in cat.constraints:
         if c.table != table:
             continue

@@ -155,9 +155,13 @@ class _Scope:
         self.sources: list[_Source] = []
         offset = 0
         for tref in tables:
-            schema = cat_mod.resolve_schema(db.catalog, tref.table)
-            rows = _table_rows(db, tref.table)
-            if schema is None or rows is None:
+            if tref.table in db.tables:
+                stored = db.tables[tref.table]
+                schema, rows = stored.schema, stored.rows
+            elif tref.table in cat_mod.BUILTINS:
+                schema, rows_of = cat_mod.BUILTINS[tref.table]
+                rows = rows_of(db.catalog)
+            else:
                 raise OraError(942, tref.line, tref.column)
             keys = {tref.table}
             if tref.alias:
@@ -242,16 +246,6 @@ def _conjuncts(pred: Predicate) -> list[Predicate]:
     if isinstance(pred, BoolOp) and pred.op == "AND":
         return _conjuncts(pred.left) + _conjuncts(pred.right)
     return [pred]
-
-
-def _table_rows(db: Database, name: str) -> list[Row] | None:
-    if name in db.tables:
-        return db.tables[name].rows
-    if name == "DUAL":
-        return [["X"]]
-    if name == "USER_CONSTRAINTS":
-        return cat_mod.user_constraints_rows(db.catalog)
-    return None
 
 
 def execute_select(db: Database, stmt: Select) -> ResultSet:

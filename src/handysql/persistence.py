@@ -4,18 +4,21 @@ Format, line oriented:
 
     HANDYDB 1
     TABLE STUDENTS
-    COL S_ROLL NUMBER(2) NULL
+    COL S_ROLL NUMBER(2) NOTNULL
     ...
     CONSTRAINT PK_S STUDENTS PK S_ROLL
     COUNTER 5546
     ROWS STUDENTS
     1<TAB>ROHI<TAB>...
 
-Row cells are tab separated; NULL is \\N; backslash, tab and newline
-are escaped.  Dates are stored ISO (YYYY-MM-DD), numbers in plain
-positional notation.  Loading rebuilds the catalog and re-validates
-every row against its column types and all constraints, so a snapshot
-edited into an inconsistent state is rejected rather than trusted.
+Lines end with "\\n" only.  Row cells are tab separated; NULL is \\N;
+backslash, tab, newline and carriage return are escaped.  Dates are
+stored ISO (YYYY-MM-DD), numbers in plain positional notation.  The
+NOTNULL/NULL field of a COL line is derived from the constraint list
+when saving and, on loading, must match what the constraints imply.
+Loading rebuilds the catalog and re-validates every row against its
+column types and all constraints, so a snapshot edited into an
+inconsistent state is rejected rather than trusted.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import os
 from decimal import Decimal
 
 from .catalog import ColumnSchema, ConstraintDef, TableSchema
-from .constraints import validate_existing
+from .constraints import not_null_sources, validate_existing
 from .errors import OraError
 from .executor import Database, StoredTable
 from .parser import parse_standalone_predicate
@@ -47,14 +50,13 @@ def _escape_cell(value: SqlValue) -> str:
     if value is None:
         return "\\N"
     if isinstance(value, Decimal):
-        text = format_number(value)
-    elif isinstance(value, datetime.date):
-        text = value.isoformat()
-    else:
-        text = value
-    return (text.replace("\\", "\\\\")
+        return format_number(value)
+    if isinstance(value, datetime.date):
+        return value.isoformat()
+    return (value.replace("\\", "\\\\")
                 .replace("\t", "\\t")
-                .replace("\n", "\\n"))
+                .replace("\n", "\\n")
+                .replace("\r", "\\r"))
 
 
 def _unescape_cell(text: str) -> str:
@@ -70,6 +72,8 @@ def _unescape_cell(text: str) -> str:
                 out.append("\t")
             elif nxt == "n":
                 out.append("\n")
+            elif nxt == "r":
+                out.append("\r")
             else:
                 raise SnapshotError(f"bad escape \\{nxt}")
             i += 2
@@ -83,8 +87,9 @@ def saves(db: Database) -> str:
     lines = [_MAGIC]
     for name, stored in db.tables.items():
         lines.append(f"TABLE {name}")
+        not_null = not_null_sources(db.catalog, name)
         for col in stored.schema.columns:
-            null = "NOTNULL" if col.not_null else "NULL"
+            null = "NOTNULL" if col.name in not_null else "NULL"
             lines.append(f"COL {col.name} {type_display(col.type)} {null}")
     for con in db.catalog.constraints:
         if con.kind == "CHECK":
@@ -149,13 +154,14 @@ def _parse_row(schema: TableSchema, line: str) -> list[SqlValue]:
 
 
 def loads(text: str) -> Database:
-    lines = text.splitlines()
-    if not lines or lines[0] != _MAGIC:
+    lines = text.split("\n")
+    if lines[0] != _MAGIC:
         raise SnapshotError("not a database snapshot")
     db = Database()
     current: TableSchema | None = None
     rows_for: StoredTable | None = None
     pending_checks: list[tuple[ConstraintDef, str]] = []
+    flagged: dict[str, set[str]] = {}  # table -> columns marked NOTNULL
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -167,6 +173,7 @@ def loads(text: str) -> Database:
             current = TableSchema(name, [])
             db.catalog.tables[name] = current
             db.tables[name] = StoredTable(current)
+            flagged[name] = set()
         elif line.startswith("COL "):
             if current is None:
                 raise SnapshotError(f"line {lineno}: COL outside TABLE")
@@ -179,8 +186,9 @@ def loads(text: str) -> Database:
             except ValueError:
                 raise SnapshotError(
                     f"line {lineno}: bad type {tdisplay}") from None
-            current.columns.append(
-                ColumnSchema(cname, ctype, null == "NOTNULL"))
+            current.columns.append(ColumnSchema(cname, ctype))
+            if null == "NOTNULL":
+                flagged[current.name].add(cname)
         elif line.startswith("CONSTRAINT "):
             parts = line.split(" ", 4)
             if len(parts) != 5:
@@ -226,7 +234,7 @@ def loads(text: str) -> Database:
         db.catalog.constraints[idx] = ConstraintDef(
             con.name, con.table, "CHECK", predicate=pred)
 
-    _validate(db)
+    _validate(db, flagged)
     return db
 
 
@@ -239,7 +247,7 @@ def load(path: str) -> Database:
     return loads(text)
 
 
-def _validate(db: Database) -> None:
+def _validate(db: Database, flagged: dict[str, set[str]]) -> None:
     seen: set[str] = set()
     for con in db.catalog.constraints:
         if con.name in seen:
@@ -257,20 +265,10 @@ def _validate(db: Database) -> None:
         if violation is not None:
             raise SnapshotError(
                 f"rows violate constraint {con.name} ({violation.reason})")
-    # A NOT NULL column flag must be backed by some constraint and
-    # vice versa, so flags and constraint list cannot drift apart.
-    for name, schema in db.catalog.tables.items():
-        enforced = {
-            c for con in db.catalog.constraints if con.table == name
-            for c in (con.columns if con.kind == "PK"
-                      else (con.column,) if con.kind == "NOTNULL" else ())}
-        flagged = {c.name for c in schema.columns if c.not_null}
-        if enforced != flagged:
+    # The COL lines' NOT NULL flags must say what the constraints imply.
+    for name, marked in flagged.items():
+        enforced = set(not_null_sources(db.catalog, name))
+        if enforced != marked:
             raise SnapshotError(
-                f"table {name}: NOT NULL flags {sorted(flagged)} do not "
+                f"table {name}: NOT NULL flags {sorted(marked)} do not "
                 f"match constraints {sorted(enforced)}")
-        for stored_row in db.tables[name].rows:
-            for col, value in zip(schema.columns, stored_row):
-                if col.not_null and value is None:
-                    raise SnapshotError(
-                        f"table {name}: NULL in NOT NULL column {col.name}")

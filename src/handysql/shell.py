@@ -10,6 +10,7 @@ piped session writes the exact transcript a script run would.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
@@ -52,7 +53,6 @@ class Session:
     instream: TextIO = field(default_factory=lambda: sys.stdin)
     echo_input: bool = False
     quiet: bool = False
-    subst_cache: dict[str, str] = field(default_factory=dict)
     error_count: int = 0
 
 
@@ -77,10 +77,40 @@ def strip_terminator(line: str) -> str:
     return content[:-1].rstrip()
 
 
-def read_statement(session: Session) -> str | None:
-    """Next statement text, or None when the session should end."""
+def parse_bind(line: str) -> tuple[str, str] | None:
+    """The (name, value) of a "-- bind name=value" line, else None."""
+    body = line.strip()[2:].strip()
+    if not body.startswith("bind "):
+        return None
+    name, eq, value = body[4:].strip().partition("=")
+    return (name.strip(), value) if eq else None
+
+
+def _skip_comments(stream: TextIO, binds: list[tuple[str, str]]) -> None:
+    """Consume the "--" lines next in a script, collecting their binds."""
+    while True:
+        start = stream.tell()
+        line = stream.readline()
+        if not line.lstrip().startswith("--"):
+            stream.seek(start)
+            return
+        bind = parse_bind(line)
+        if bind is not None:
+            binds.append(bind)
+
+
+def read_statement(session: Session,
+                   binds: list[tuple[str, str]] | None = None) -> str | None:
+    """Next statement text, or None when the session should end.
+
+    When reading a script, binds is a list: "--" lines met at statement
+    start are then consumed without echo, and "-- bind name=value" ones
+    add to binds.
+    """
     buffered: list[str] = []
     while True:
+        if binds is not None and not buffered:
+            _skip_comments(session.instream, binds)
         prompt = PROMPT if not buffered else continuation_prompt(
             len(buffered) + 1)
         line = _read_line(session, prompt)
@@ -112,8 +142,7 @@ def substitute_variables(
     it goes and returns no lines; script mode consumes the first
     unused binding with a matching name and returns the prompt lines
     it would have shown, so both modes emit identical transcripts.
-    Every occurrence is resolved afresh; the cache only records the
-    last value per name.
+    Every occurrence is resolved afresh.
     """
     lines: list[str] = []
     remaining = list(bindings) if bindings is not None else None
@@ -134,7 +163,6 @@ def substitute_variables(
             else:
                 raise SubstitutionError(name, lines)
             lines.append(f"Enter value for {display}: {value}")
-        session.subst_cache[name.upper()] = value
         return value
 
     return _SUBST.sub(fill, text), lines
@@ -224,52 +252,21 @@ def repl(session: Session) -> None:
 def run_script(session: Session, path: str) -> None:
     """Execute a statement file, writing the full transcript.
 
-    Lines starting with "--" are not echoed; "-- bind name=value"
-    lines supply substitution values for the next statement.  The
-    transcript matches what a piped interactive session typing the
-    same lines would produce.
+    The file becomes the session's input, read as from a pipe, so the
+    transcript matches what a piped interactive session typing the same
+    lines would produce, except that lines starting with "--" at
+    statement start are not echoed; "-- bind name=value" lines among
+    them supply substitution values for the next statement.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    i = 0
-    binds: list[tuple[str, str]] = []
-    while i < len(lines):
-        stripped = lines[i].strip()
-        if not stripped:
-            i += 1
-            continue
-        if stripped.startswith("--"):
-            body = stripped[2:].strip()
-            if body.startswith("bind "):
-                name, eq, value = body[4:].strip().partition("=")
-                if eq:
-                    binds.append((name.strip(), value))
-            i += 1
-            continue
-        stmt_lines: list[str] = []
-        terminated = False
-        while i < len(lines):
-            line = lines[i]
-            if not session.quiet:
-                prefix = (PROMPT if not stmt_lines
-                          else continuation_prompt(len(stmt_lines) + 1))
-                session.out.write(prefix + line + "\n")
-            i += 1
-            if line.strip() == "/" and stmt_lines:
-                terminated = True
-                break
-            if line.rstrip().endswith(";"):
-                stmt_lines.append(strip_terminator(line))
-                terminated = True
-                break
-            stmt_lines.append(line)
-        if not terminated:
-            break
-        block = execute_statement(session, "\n".join(stmt_lines), binds)
-        binds = []
-        _emit(session, block)
-    if not session.quiet:
-        session.out.write(PROMPT + "\n")
+        session.instream = io.StringIO(fh.read())
+    session.echo_input = True
+    while True:
+        binds: list[tuple[str, str]] = []
+        text = read_statement(session, binds)
+        if text is None:
+            return
+        _emit(session, execute_statement(session, text, binds))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -377,8 +377,8 @@ def test_criterion_07_aggregate_identities():
             assert Fraction(mean) * ref.fold_count(vals) == Fraction(total)
 
 
-def _schema(columns, flags):
-    return TableSchema("T", [ColumnSchema(c, _TYPES[k], c in flags)
+def _schema(columns):
+    return TableSchema("T", [ColumnSchema(c, _TYPES[k])
                              for c, k in columns.items()])
 
 
@@ -400,7 +400,6 @@ def test_criterion_08_constraint_verdicts():
         if kind == "notnull":
             col = rng.choice(names)
             cons = ConstraintDef("N1", "T", "NOTNULL", column=col)
-            flags = {col}
             expect = ref.null_violation(candidate, [col])
             reason = NULL_COLUMN
         elif kind in ("pk", "unique"):
@@ -409,7 +408,6 @@ def test_criterion_08_constraint_verdicts():
             primary = kind == "pk"
             cons = ConstraintDef("K1", "T", "PK" if primary else "UNIQUE",
                                  columns=cols)
-            flags = set(cols) if primary else set()
             expect = ref.key_violation(existing, candidate, cols, primary)
             reason = (NULL_COLUMN
                       if primary and ref.null_violation(candidate, cols)
@@ -418,10 +416,9 @@ def test_criterion_08_constraint_verdicts():
             pred = ref.gen_predicate(rng, columns)
             cons = ConstraintDef("C1", "T", "CHECK",
                                  predicate=to_engine_pred(pred))
-            flags = set()
             expect = ref.check_violation(pred, candidate)
             reason = FAILED_PREDICATE
-        cat = Catalog(tables={"T": _schema(columns, flags)},
+        cat = Catalog(tables={"T": _schema(columns)},
                       constraints=[cons])
         engine_existing = [[to_engine_value(r[c]) for c in names]
                            for r in existing]

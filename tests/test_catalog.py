@@ -1,6 +1,8 @@
-from conftest import ora_code, run_sql
+from conftest import make_session, ora_code, run_sql
 
 from handysql.catalog import SYS_NAME_SEED, Catalog, next_sys_name
+from handysql.conformance import load_fixture
+from handysql.persistence import loads, saves
 
 
 def blocks(session, *statements, bindings=None):
@@ -201,6 +203,23 @@ def test_null_modify_keeps_primary_key_not_null(classroom):
     blocks(classroom, "ALTER TABLE STUDENTS MODIFY S_ROLL NUMBER(2) NULL")
     desc = run_sql(classroom, "DESC STUDENTS")
     assert "NOT NULL" in desc[2]
+
+    # The other order: a generated NOT NULL first, the key over it next.
+    other = make_session(load_fixture("classroom_full"))
+    for text in ("ALTER TABLE STUDENTS MODIFY S_ROLL NUMBER(2) NOT NULL",
+                 "ALTER TABLE STUDENTS ADD CONSTRAINT PK_P "
+                 "PRIMARY KEY (S_ROLL)",
+                 "ALTER TABLE STUDENTS MODIFY S_ROLL NUMBER(2) NULL"):
+        assert ora_code(run_sql(other, text)) is None
+    desc = run_sql(other, "DESC STUDENTS")
+    assert "NOT NULL" in desc[2]
+    insert = run_sql(other, "INSERT INTO STUDENTS "
+                            "VALUES(NULL, 'A', 'B', 1, '01-JAN-90', 60)")
+    assert ora_code(insert) == 1400
+    text = saves(other.db)
+    copy = make_session(loads(text))
+    assert run_sql(copy, "DESC STUDENTS") == desc
+    assert saves(copy.db) == text
 
 
 def test_sys_names_increment_and_skip_taken():

@@ -8,11 +8,11 @@ from handysql.parser import parse_standalone_predicate
 from handysql.values import NumberType, Varchar2Type
 
 
-def build_catalog(*constraints, flags=()):
+def build_catalog(*constraints):
     schema = TableSchema("T", [
-        ColumnSchema("A", NumberType(5), "A" in flags),
-        ColumnSchema("B", NumberType(5), "B" in flags),
-        ColumnSchema("C", Varchar2Type(10), "C" in flags),
+        ColumnSchema("A", NumberType(5)),
+        ColumnSchema("B", NumberType(5)),
+        ColumnSchema("C", Varchar2Type(10)),
     ])
     cat = Catalog(tables={"T": schema}, constraints=list(constraints))
     return cat
@@ -42,13 +42,12 @@ def row(a=None, b=None, c=None):
 
 
 def test_clean_row_passes():
-    cat = build_catalog(pk("A"), flags=("A",))
+    cat = build_catalog(pk("A"))
     assert check_row(cat, "T", row(a=1), []) is None
 
 
 def test_not_null_flags_fire_in_column_order():
-    cat = build_catalog(notnull("N_A", "A"), notnull("N_B", "B"),
-                        flags=("A", "B"))
+    cat = build_catalog(notnull("N_A", "A"), notnull("N_B", "B"))
     v = check_row(cat, "T", row(), [row(a=0, b=0)])
     assert v.reason == NULL_COLUMN
     assert v.constraint.name == "N_A"
@@ -56,22 +55,30 @@ def test_not_null_flags_fire_in_column_order():
 
 
 def test_null_in_pk_column_reports_pk_constraint():
-    cat = build_catalog(pk("A"), flags=("A",))
+    cat = build_catalog(pk("A"))
     v = check_row(cat, "T", row(b=2), [])
     assert v.reason == NULL_COLUMN
     assert v.constraint.name == "PK_T"
 
 
+def test_null_reports_first_constraint_covering_column():
+    for first, second in ((notnull("N_A", "A"), pk("A")),
+                          (pk("A"), notnull("N_A", "A"))):
+        cat = build_catalog(first, second)
+        v = check_row(cat, "T", row(), [])
+        assert v.reason == NULL_COLUMN
+        assert v.constraint is first
+
+
 def test_not_null_outranks_unique_scan():
-    cat = build_catalog(unique("U_B", "B"), notnull("N_C", "C"),
-                        flags=("C",))
+    cat = build_catalog(unique("U_B", "B"), notnull("N_C", "C"))
     v = check_row(cat, "T", row(b=7), [row(b=7, c="x")])
     assert v.reason == NULL_COLUMN
     assert v.constraint.name == "N_C"
 
 
 def test_duplicate_key_reports_clashing_ordinal():
-    cat = build_catalog(pk("A"), flags=("A",))
+    cat = build_catalog(pk("A"))
     existing = [row(a=1), row(a=2), row(a=3)]
     v = check_row(cat, "T", row(a=2), existing)
     assert v.reason == DUPLICATE_KEY

@@ -1,3 +1,5 @@
+import importlib.resources
+
 import pytest
 
 from conftest import make_session, run_sql
@@ -85,6 +87,21 @@ def test_escape_round_trip():
     db.tables["T"].rows.append([special])
     copy = loads(saves(db))
     assert copy.tables["T"].rows == [[special]]
+
+
+# Characters str.splitlines() breaks a line at, plus the escaped ones.
+LINE_BREAKERS = "\r\n\t\\\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_line_breaking_characters_round_trip(tmp_path):
+    db = build_db("CREATE TABLE T(A VARCHAR(5))",
+                  *(f"INSERT INTO T VALUES('a{ch}b')" for ch in LINE_BREAKERS))
+    rows = [[f"a{ch}b"] for ch in LINE_BREAKERS]
+    assert db.tables["T"].rows == rows
+    assert loads(saves(db)).tables["T"].rows == rows
+    path = tmp_path / "t.handydb"
+    persistence.save(db, str(path))
+    assert persistence.load(str(path)).tables["T"].rows == rows
 
 
 def test_null_marker_distinct_from_text():
@@ -205,6 +222,36 @@ def test_constraint_without_flag_rejected():
 def test_load_missing_file_raises_snapshot_error(tmp_path):
     with pytest.raises(SnapshotError):
         persistence.load(str(tmp_path / "absent.handydb"))
+
+
+PINNED = (
+    "HANDYDB 1\n"
+    "TABLE T\n"
+    "COL ID NUMBER(5) NOTNULL\n"
+    "COL NAME VARCHAR2(10) NOTNULL\n"
+    "COL NOTE VARCHAR2(10) NULL\n"
+    "CONSTRAINT PK_T T PK ID\n"
+    "CONSTRAINT SYS_C005545 T NOTNULL NAME\n"
+    "COUNTER 5546\n"
+    "ROWS T\n"
+    "1\tA\t\\N\n"
+    "2\tB\tx\n"
+)
+
+
+def test_saves_output_is_pinned():
+    db = build_db(
+        "CREATE TABLE T(ID NUMBER(5), NAME VARCHAR(10), NOTE VARCHAR(10))",
+        "INSERT INTO T VALUES(1, 'A', NULL)",
+        "INSERT INTO T VALUES(2, 'B', 'x')",
+        "ALTER TABLE T ADD CONSTRAINT PK_T PRIMARY KEY (ID)",
+        "ALTER TABLE T MODIFY NAME VARCHAR(10) NOT NULL")
+    assert saves(db) == PINNED
+    assert saves(loads(PINNED)) == PINNED
+    fixtures = importlib.resources.files("handysql") / "fixtures"
+    for name in ("classroom", "classroom_full"):
+        text = (fixtures / f"{name}.handydb").read_text()
+        assert saves(loads(text)) == text
 
 
 def test_empty_database_round_trips():

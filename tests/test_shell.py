@@ -3,6 +3,8 @@ import subprocess
 import sys
 from decimal import Decimal
 
+import pytest
+
 from conftest import make_session, ora_code, run_sql
 
 from handysql.executor import ResultSet
@@ -57,7 +59,6 @@ def test_interactive_substitution_prompts_every_occurrence():
         session, "SELECT '&V', '&V' FROM DUAL")
     assert resolved == "SELECT 'first', 'second' FROM DUAL"
     assert lines == []
-    assert session.subst_cache == {"V": "second"}
     assert session.out.getvalue() == ""
 
 
@@ -144,14 +145,27 @@ FROM T;
 """
 
 
-def test_script_and_pipe_transcripts_match(tmp_path):
-    script = write_script(tmp_path, SCRIPT)
+@pytest.mark.parametrize("text", [
+    pytest.param(SCRIPT, id="statements"),
+    pytest.param("/\nSELECT * FROM DUAL;\n", id="lone-slash"),
+    pytest.param("SELECT * FROM DUAL;\nexit\nSELECT * FROM DUAL;\n",
+                 id="exit"),
+    pytest.param("\nSELECT * FROM DUAL;\n  \n", id="blank-lines"),
+    pytest.param("SELECT *\nFROM DUAL", id="unterminated"),
+])
+def test_script_and_pipe_transcripts_match(tmp_path, text):
+    script = write_script(tmp_path, text)
     from_script = run_cli(["--script", script])
-    from_pipe = run_cli([], stdin_text=SCRIPT)
+    from_pipe = run_cli([], stdin_text=text)
     assert from_script.returncode == 0
     assert from_script.stdout == from_pipe.stdout
-    assert "1 row created." in from_script.stdout
-    assert from_script.stdout.endswith(PROMPT + "\n")
+    assert "ORA-" not in from_script.stdout
+
+
+def test_script_transcript_ends_with_prompt(tmp_path):
+    out = run_cli(["--script", write_script(tmp_path, SCRIPT)]).stdout
+    assert "1 row created." in out
+    assert out.endswith(PROMPT + "\n")
 
 
 def test_script_statements_echo_with_prompts(tmp_path):
