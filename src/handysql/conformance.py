@@ -32,7 +32,8 @@ from pathlib import Path
 
 from . import persistence
 from .executor import Database
-from .shell import Session, execute_statement, parse_bind, strip_terminator
+from .shell import (PROMPT, Session, execute_statement, parse_bind,
+                    read_statement)
 
 SUITES: dict[str, tuple[str, str]] = {
     "ddl": ("ddl.transcript", "empty"),
@@ -41,10 +42,6 @@ SUITES: dict[str, tuple[str, str]] = {
     "aggregates": ("aggregates.transcript", "classroom_full"),
     "joins": ("joins.transcript", "classroom_full"),
 }
-
-_PROMPT_PREFIX = "SQL> "
-_CONT = re.compile(r"^ {0,2}\d+  (.*)$")
-
 
 class TranscriptFormatError(Exception):
     pass
@@ -87,55 +84,46 @@ def normalize_block(lines: list[str]) -> list[str]:
 
 
 def parse_transcript(text: str) -> list[TranscriptEntry]:
+    """Split a transcript into entries by the shell's own reading rules.
+
+    A line is input only when it starts with the exact prompt the shell
+    would show before it; at statement start other lines are directives
+    or the previous entry's expected output.
+    """
     entries: list[TranscriptEntry] = []
-    binds: list[tuple[str, str]] = []
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        stripped = line.strip()
-        if _is_directive(stripped):
-            bind = parse_bind(stripped)
-            if bind is not None:
-                binds.append(bind)
-            i += 1
-            continue
-        if line.startswith(_PROMPT_PREFIX):
-            raw = [line]
-            stmt_lines = [line[len(_PROMPT_PREFIX):]]
-            i += 1
-            while not _terminated(stmt_lines[-1]):
-                if i >= len(lines):
-                    raise TranscriptFormatError(
-                        f"line {i}: statement not terminated")
-                match = _CONT.match(lines[i])
-                if match is None:
-                    raise TranscriptFormatError(
-                        f"line {i + 1}: expected a numbered continuation "
-                        f"line, got {lines[i]!r}")
-                raw.append(lines[i])
-                stmt_lines.append(match.group(1))
-                i += 1
-            if stmt_lines[-1].strip() == "/":
-                stmt_lines.pop()
-            else:
-                stmt_lines[-1] = strip_terminator(stmt_lines[-1])
-            entries.append(TranscriptEntry("\n".join(stmt_lines),
-                                           binds, [], raw))
-            binds = []
-            continue
-        if not entries:
-            if stripped:
+    pending = TranscriptEntry("")
+    lines = enumerate(text.splitlines(), start=1)
+
+    def read_line(prompt: str) -> str | None:
+        for lineno, line in lines:
+            if line.startswith(prompt):
+                pending.input_lines.append(line)
+                return line[len(prompt):]
+            if prompt != PROMPT:
                 raise TranscriptFormatError(
-                    f"line {i + 1}: output before any statement")
-        else:
-            entries[-1].expected.append(line)
-        i += 1
+                    f"line {lineno}: expected continuation prompt "
+                    f"{prompt!r}, got {line!r}")
+            if _is_directive(line.strip()):
+                bind = parse_bind(line)
+                if bind is not None:
+                    pending.bindings.append(bind)
+            elif entries:
+                entries[-1].expected.append(line)
+            elif line.strip():
+                raise TranscriptFormatError(
+                    f"line {lineno}: output before any statement")
+        if prompt != PROMPT:
+            raise TranscriptFormatError("statement not terminated")
+        return None
+
+    while (statement := read_statement(read_line)) is not None:
+        pending.statement = statement
+        entries.append(pending)
+        pending = TranscriptEntry("")
+    rest = next(lines, None)
+    if rest is not None:
+        raise TranscriptFormatError(f"line {rest[0]}: input after exit")
     return entries
-
-
-def _terminated(line: str) -> bool:
-    return line.rstrip().endswith(";") or line.strip() == "/"
 
 
 def _is_directive(stripped: str) -> bool:

@@ -34,6 +34,7 @@ class TokenKind(Enum):
     NUMBER = auto()
     PUNCT = auto()
     SUBST = auto()
+    END = auto()  # end of input; appended by the parser, never lexed
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,16 @@ Grammar violations raise positioned OraErrors: an absent expression is
 the documented failure shapes falls back to 900.  A constraint clause
 that is neither PRIMARY KEY, UNIQUE nor CHECK parses into a fallback
 body so the catalog can produce the add-column diagnostic.
+
+The token stream gets one END token appended, so lookahead never runs
+out; an error found at END is reported at the last real token.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from decimal import Decimal
+from typing import TypeVar
 
 from .errors import OraError
 from .lexer import AGGREGATE_FUNCS, Token, TokenKind, tokenize
@@ -24,84 +29,93 @@ _COMPARE_PUNCT = {"=", "!=", "<>", "<", "<=", ">", ">="}
 # Tokens that legitimately follow an expression slot; hitting one where
 # an expression should start means the expression is missing (936).
 _EXPR_TERMINATORS = {",", ")"}
+_END = Token(TokenKind.END, "")
+
+_T = TypeVar("_T")
+
+
+def _lexemes(tokens: list[Token]) -> tuple[str, ...]:
+    return tuple(t.lexeme for t in tokens)
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         assert tokens, "parser requires a non-empty token stream"
-        self.tokens = tokens
+        self.tokens = [*tokens, _END]
         self.pos = 0
 
     # -- stream helpers ------------------------------------------------
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def fail(self, code: int) -> OraError:
+        """Error at the current token; at the end, at the last real one."""
+        tok = self.tokens[self.pos]
+        if tok is _END:
+            tok = self.tokens[-2]
+        return OraError(code, tok.line, tok.column)
 
-    def error_anchor(self) -> Token:
-        """Token to blame when the stream ends too early."""
-        return self.tokens[min(self.pos, len(self.tokens) - 1)]
+    def accept_kw(self, word: str) -> Token | None:
+        tok = self.tokens[self.pos]
+        if tok.kind is TokenKind.KEYWORD and tok.lexeme == word:
+            self.pos += 1
+            return tok
+        return None
 
-    def fail(self, code: int, tok: Token | None = None) -> OraError:
-        anchor = tok if tok is not None else self.error_anchor()
-        return OraError(code, anchor.line, anchor.column)
+    def accept_punct(self, mark: str) -> Token | None:
+        tok = self.tokens[self.pos]
+        if tok.kind is TokenKind.PUNCT and tok.lexeme == mark:
+            self.pos += 1
+            return tok
+        return None
 
     def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok is None or not tok.is_kw(word):
+        tok = self.accept_kw(word)
+        if tok is None:
             raise self.fail(900)
-        return self.advance()
+        return tok
 
     def expect_punct(self, mark: str) -> Token:
-        tok = self.peek()
-        if tok is None or not tok.is_punct(mark):
+        tok = self.accept_punct(mark)
+        if tok is None:
             raise self.fail(900)
-        return self.advance()
+        return tok
 
     def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind is not TokenKind.IDENT:
+        if self.tokens[self.pos].kind is not TokenKind.IDENT:
             raise self.fail(900)
         return self.advance()
 
     def expect_end(self) -> None:
-        if not self.at_end():
-            raise self.fail(900, self.peek())
+        if self.tokens[self.pos] is not _END:
+            raise self.fail(900)
+
+    def comma_list(self, rule: Callable[[], _T]) -> list[_T]:
+        items = [rule()]
+        while self.accept_punct(","):
+            items.append(rule())
+        return items
 
     # -- statements ----------------------------------------------------
 
     def statement(self) -> Statement:
         tok = self.peek()
-        if tok is None or tok.kind is not TokenKind.KEYWORD:
-            raise self.fail(900, tok)
-        if tok.lexeme == "CREATE":
-            return self.create_table()
-        if tok.lexeme in ("DESC", "DESCRIBE"):
-            return self.describe()
-        if tok.lexeme == "INSERT":
-            return self.insert()
-        if tok.lexeme == "SELECT":
-            return self.select()
-        if tok.lexeme == "ALTER":
-            return self.alter()
-        raise self.fail(900, tok)
+        if tok.kind is not TokenKind.KEYWORD or tok.lexeme not in _STATEMENTS:
+            raise self.fail(900)
+        self.advance()
+        return _STATEMENTS[tok.lexeme](self)
 
     def create_table(self) -> CreateTable:
-        self.expect_kw("CREATE")
         self.expect_kw("TABLE")
         name = self.expect_ident()
         self.expect_punct("(")
-        columns = [self.column_def()]
-        while self.peek() is not None and self.peek().is_punct(","):
-            self.advance()
-            columns.append(self.column_def())
+        columns = self.comma_list(self.column_def)
         self.expect_punct(")")
         self.expect_end()
         return CreateTable(name.lexeme, tuple(columns),
@@ -115,68 +129,51 @@ class _Parser:
 
     def type_spec(self) -> TypeSpec:
         tok = self.peek()
-        if tok is None or tok.kind is not TokenKind.KEYWORD:
-            raise self.fail(900, tok)
+        if tok.kind is not TokenKind.KEYWORD:
+            raise self.fail(900)
+        args: tuple[int, ...] = ()
         if tok.lexeme == "NUMBER":
             self.advance()
-            args: tuple[int, ...] = ()
-            if self.peek() is not None and self.peek().is_punct("("):
-                self.advance()
-                first = self.unsigned_int()
-                if self.peek() is not None and self.peek().is_punct(","):
-                    self.advance()
-                    args = (first, self.unsigned_int())
-                else:
-                    args = (first,)
+            if self.accept_punct("("):
+                args = (self.unsigned_int(),)
+                if self.accept_punct(","):
+                    args += (self.unsigned_int(),)
                 self.expect_punct(")")
-            return TypeSpec("NUMBER", args, line=tok.line, column=tok.column)
-        if tok.lexeme in ("VARCHAR", "VARCHAR2"):
+        elif tok.lexeme in ("VARCHAR", "VARCHAR2"):
             self.advance()
             self.expect_punct("(")
-            length = self.unsigned_int()
+            args = (self.unsigned_int(),)
             self.expect_punct(")")
-            return TypeSpec(tok.lexeme, (length,),
-                            line=tok.line, column=tok.column)
-        if tok.lexeme in ("INTEGER", "DATE"):
+        elif tok.lexeme in ("INTEGER", "DATE"):
             self.advance()
-            return TypeSpec(tok.lexeme, (), line=tok.line, column=tok.column)
-        raise self.fail(900, tok)
+        else:
+            raise self.fail(900)
+        return TypeSpec(tok.lexeme, args, line=tok.line, column=tok.column)
 
     def unsigned_int(self) -> int:
         tok = self.peek()
-        if (tok is None or tok.kind is not TokenKind.NUMBER
-                or not tok.lexeme.isdigit()):
+        if tok.kind is not TokenKind.NUMBER or not tok.lexeme.isdigit():
             raise self.fail(900)
         self.advance()
         return int(tok.lexeme)
 
     def describe(self) -> Describe:
-        self.advance()
         name = self.expect_ident()
         self.expect_end()
         return Describe(name.lexeme, line=name.line, column=name.column)
 
     def insert(self) -> Insert:
-        self.expect_kw("INSERT")
         self.expect_kw("INTO")
         name = self.expect_ident()
         columns: tuple[str, ...] | None = None
         column_positions: tuple[tuple[int, int], ...] = ()
-        if self.peek() is not None and self.peek().is_punct("("):
-            self.advance()
-            cols = [self.expect_ident()]
-            while self.peek() is not None and self.peek().is_punct(","):
-                self.advance()
-                cols.append(self.expect_ident())
-            self.expect_punct(")")
-            columns = tuple(t.lexeme for t in cols)
+        if self.peek().is_punct("("):
+            cols = self.paren_ident_list()
+            columns = _lexemes(cols)
             column_positions = tuple((t.line, t.column) for t in cols)
         self.expect_kw("VALUES")
         self.expect_punct("(")
-        values = [self.value_literal()]
-        while self.peek() is not None and self.peek().is_punct(","):
-            self.advance()
-            values.append(self.value_literal())
+        values = self.comma_list(self.value_literal)
         rparen = self.expect_punct(")")
         self.expect_end()
         return Insert(name.lexeme, columns, tuple(values),
@@ -184,174 +181,120 @@ class _Parser:
                       column_positions=column_positions,
                       values_end=(rparen.line, rparen.column))
 
-    def value_literal(self) -> Literal:
+    def literal(self) -> Literal | None:
+        """A NUMBER, string or NULL literal, or None if none is next."""
         tok = self.peek()
-        if tok is None:
-            raise self.fail(936)
         if tok.kind is TokenKind.NUMBER:
-            self.advance()
-            return Literal(Decimal(tok.lexeme),
-                           line=tok.line, column=tok.column)
-        if tok.kind is TokenKind.STRING:
-            self.advance()
-            return Literal(tok.lexeme, line=tok.line, column=tok.column)
-        if tok.is_kw("NULL"):
-            self.advance()
-            return Literal(None, line=tok.line, column=tok.column)
-        if tok.is_punct(*_EXPR_TERMINATORS):
-            raise self.fail(936, tok)
-        raise self.fail(900, tok)
+            value: Decimal | str | None = Decimal(tok.lexeme)
+        elif tok.kind is TokenKind.STRING:
+            value = tok.lexeme
+        elif tok.is_kw("NULL"):
+            value = None
+        else:
+            return None
+        self.advance()
+        return Literal(value, line=tok.line, column=tok.column)
+
+    def missing_expression(self, *enders: str) -> OraError:
+        """936 if the slot is empty (the next token ends it), else 900."""
+        tok = self.peek()
+        empty = (tok is _END or tok.is_punct(*_EXPR_TERMINATORS)
+                 or tok.is_kw(*enders))
+        return self.fail(936 if empty else 900)
+
+    def value_literal(self) -> Literal:
+        lit = self.literal()
+        if lit is None:
+            raise self.missing_expression()
+        return lit
 
     def select(self) -> Select:
-        self.expect_kw("SELECT")
-        items: tuple[SelectItem, ...] | None
-        if self.peek() is not None and self.peek().is_punct("*"):
-            self.advance()
-            items = None
-        else:
-            parsed = [self.select_item()]
-            while self.peek() is not None and self.peek().is_punct(","):
-                self.advance()
-                parsed.append(self.select_item())
-            items = tuple(parsed)
-        tok = self.peek()
-        if tok is None or not tok.is_kw("FROM"):
-            raise self.fail(923, tok)
-        self.advance()
+        items: tuple[SelectItem, ...] | None = None
+        if not self.accept_punct("*"):
+            items = tuple(self.comma_list(self.select_item))
+        if not self.accept_kw("FROM"):
+            raise self.fail(923)
         tables, join_on = self.table_refs()
-        where = None
-        if self.peek() is not None and self.peek().is_kw("WHERE"):
-            self.advance()
-            where = self.predicate()
+        where = self.predicate() if self.accept_kw("WHERE") else None
         self.expect_end()
         return Select(items, tables, join_on=join_on, where=where)
 
     def select_item(self) -> SelectItem:
         expr = self.expression()
+        after_as = self.accept_kw("AS")
         tok = self.peek()
-        if tok is None:
-            return SelectItem(expr)
-        if tok.is_kw("AS"):
-            self.advance()
-            alias = self.peek()
-            if alias is None:
-                raise self.fail(900)
-            if alias.kind is TokenKind.STRING:
-                raise self.fail(923, alias)
-            if alias.kind is TokenKind.IDENT:
-                self.advance()
-                return SelectItem(expr, alias.lexeme)
-            if alias.kind is TokenKind.QUOTED_IDENT:
-                self.advance()
-                return SelectItem(expr, alias.lexeme, alias_quoted=True)
-            raise self.fail(900, alias)
         if tok.kind is TokenKind.STRING:
-            raise self.fail(923, tok)
-        if tok.kind is TokenKind.IDENT:
+            raise self.fail(923)
+        if tok.kind is TokenKind.IDENT or tok.kind is TokenKind.QUOTED_IDENT:
             self.advance()
-            return SelectItem(expr, tok.lexeme)
-        if tok.kind is TokenKind.QUOTED_IDENT:
-            self.advance()
-            return SelectItem(expr, tok.lexeme, alias_quoted=True)
+            return SelectItem(expr, tok.lexeme,
+                              alias_quoted=tok.kind is TokenKind.QUOTED_IDENT)
+        if after_as:
+            raise self.fail(900)
         return SelectItem(expr)
 
     def expression(self) -> Expr:
         tok = self.peek()
-        if tok is None:
-            raise self.fail(936)
         if tok.kind is TokenKind.KEYWORD and tok.lexeme in AGGREGATE_FUNCS:
             self.advance()
             self.expect_punct("(")
-            arg: ColumnRef | None
-            star = self.peek()
-            if star is not None and star.is_punct("*"):
-                if tok.lexeme != "COUNT":
-                    raise self.fail(900, star)
-                self.advance()
-                arg = None
-            else:
+            # Only COUNT takes "*"; anywhere else the "*" is not a column.
+            arg: ColumnRef | None = None
+            if tok.lexeme != "COUNT" or not self.accept_punct("*"):
                 arg = self.column_ref()
             self.expect_punct(")")
             return AggregateCall(tok.lexeme, arg,
                                  line=tok.line, column=tok.column)
         if tok.kind is TokenKind.IDENT:
             return self.column_ref()
-        if tok.kind is TokenKind.NUMBER:
-            self.advance()
-            return Literal(Decimal(tok.lexeme),
-                           line=tok.line, column=tok.column)
-        if tok.kind is TokenKind.STRING:
-            self.advance()
-            return Literal(tok.lexeme, line=tok.line, column=tok.column)
-        if tok.is_kw("NULL"):
-            self.advance()
-            return Literal(None, line=tok.line, column=tok.column)
-        if tok.is_punct(*_EXPR_TERMINATORS) or tok.is_kw("FROM", "WHERE"):
-            raise self.fail(936, tok)
-        raise self.fail(900, tok)
+        lit = self.literal()
+        if lit is None:
+            raise self.missing_expression("FROM", "WHERE")
+        return lit
 
     def column_ref(self) -> ColumnRef:
         first = self.expect_ident()
-        if self.peek() is not None and self.peek().is_punct("."):
-            self.advance()
+        if self.accept_punct("."):
             name = self.expect_ident()
             return ColumnRef(name.lexeme, qualifier=first.lexeme,
                              line=first.line, column=first.column)
         return ColumnRef(first.lexeme, line=first.line, column=first.column)
 
     def table_refs(self) -> tuple[tuple[TableRef, ...], Predicate | None]:
-        first = self.table_ref()
-        tok = self.peek()
-        if tok is not None and tok.is_kw("INNER"):
-            self.advance()
+        tables = self.comma_list(self.table_ref)
+        if len(tables) == 1 and self.accept_kw("INNER"):
             self.expect_kw("JOIN")
-            second = self.table_ref()
-            self.expect_kw("ON")
-            return (first, second), self.predicate()
-        tables = [first]
-        while self.peek() is not None and self.peek().is_punct(","):
-            self.advance()
             tables.append(self.table_ref())
-        if self.peek() is not None and self.peek().is_kw("INNER"):
-            raise self.fail(900, self.peek())
+            self.expect_kw("ON")
+            return tuple(tables), self.predicate()
         return tuple(tables), None
 
     def table_ref(self) -> TableRef:
         name = self.expect_ident()
-        tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.IDENT:
-            self.advance()
-            return TableRef(name.lexeme, tok.lexeme,
-                            line=name.line, column=name.column)
-        return TableRef(name.lexeme, line=name.line, column=name.column)
+        alias = None
+        if self.peek().kind is TokenKind.IDENT:
+            alias = self.advance().lexeme
+        return TableRef(name.lexeme, alias,
+                        line=name.line, column=name.column)
 
     # -- predicates ----------------------------------------------------
 
     def predicate(self) -> Predicate:
         left = self.pred_and()
-        while self.peek() is not None and self.peek().is_kw("OR"):
-            self.advance()
+        while self.accept_kw("OR"):
             left = BoolOp("OR", left, self.pred_and())
         return left
 
     def pred_and(self) -> Predicate:
         left = self.pred_not()
-        while self.peek() is not None and self.peek().is_kw("AND"):
-            self.advance()
+        while self.accept_kw("AND"):
             left = BoolOp("AND", left, self.pred_not())
         return left
 
     def pred_not(self) -> Predicate:
-        tok = self.peek()
-        if tok is not None and tok.is_kw("NOT"):
-            self.advance()
+        if self.accept_kw("NOT"):
             return Not(self.pred_not())
-        return self.pred_primary()
-
-    def pred_primary(self) -> Predicate:
-        tok = self.peek()
-        if tok is not None and tok.is_punct("("):
-            self.advance()
+        if self.accept_punct("("):
             inner = self.predicate()
             self.expect_punct(")")
             return inner
@@ -360,19 +303,12 @@ class _Parser:
     def comparison(self) -> Predicate:
         left = self.expression()
         tok = self.peek()
-        if tok is not None and tok.is_kw("IS"):
-            self.advance()
-            negated = False
-            if self.peek() is not None and self.peek().is_kw("NOT"):
-                self.advance()
-                negated = True
-            null_tok = self.peek()
-            if null_tok is None or not null_tok.is_kw("NULL"):
-                raise self.fail(900)
-            self.advance()
+        if self.accept_kw("IS"):
+            negated = self.accept_kw("NOT") is not None
+            self.expect_kw("NULL")
             return IsNull(left, negated, line=tok.line, column=tok.column)
-        if tok is None or not tok.is_punct(*_COMPARE_PUNCT):
-            raise self.fail(900, tok)
+        if tok.kind is not TokenKind.PUNCT or tok.lexeme not in _COMPARE_PUNCT:
+            raise self.fail(900)
         self.advance()
         op = "!=" if tok.lexeme == "<>" else tok.lexeme
         right = self.expression()
@@ -381,71 +317,51 @@ class _Parser:
     # -- alter ---------------------------------------------------------
 
     def alter(self) -> Statement:
-        self.expect_kw("ALTER")
         self.expect_kw("TABLE")
         table = self.expect_ident()
-        tok = self.peek()
-        if tok is not None and tok.is_kw("ADD"):
-            self.advance()
+        if self.accept_kw("ADD"):
             return self.alter_add(table)
-        if tok is not None and tok.is_kw("MODIFY"):
-            self.advance()
+        if self.accept_kw("MODIFY"):
             return self.alter_modify(table)
-        raise self.fail(900, tok)
+        raise self.fail(900)
 
     def alter_add(self, table: Token) -> AlterAddConstraint:
         self.expect_kw("CONSTRAINT")
         name = self.expect_ident()
-        tok = self.peek()
-        if tok is not None and tok.is_kw("PRIMARY"):
-            self.advance()
+        body: CheckBody | PrimaryKeyBody | UniqueBody | FallbackBody
+        if self.accept_kw("PRIMARY"):
             self.expect_kw("KEY")
-            cols = self.paren_ident_list()
-            self.expect_end()
-            body: CheckBody | PrimaryKeyBody | UniqueBody | FallbackBody
-            body = PrimaryKeyBody(cols)
-        elif tok is not None and tok.is_kw("UNIQUE"):
-            self.advance()
-            cols = self.paren_ident_list()
-            self.expect_end()
-            body = UniqueBody(cols)
-        elif tok is not None and tok.is_kw("CHECK"):
-            self.advance()
+            body = PrimaryKeyBody(_lexemes(self.paren_ident_list()))
+        elif self.accept_kw("UNIQUE"):
+            body = UniqueBody(_lexemes(self.paren_ident_list()))
+        elif self.accept_kw("CHECK"):
             self.expect_punct("(")
-            pred = self.predicate()
+            body = CheckBody(self.predicate())
             self.expect_punct(")")
-            self.expect_end()
-            body = CheckBody(pred)
         else:
             # Not a recognized constraint clause: keep the tail verbatim
             # and let the catalog decide what it was trying to be.
-            tail = tuple(self.tokens[self.pos:])
-            self.pos = len(self.tokens)
-            body = FallbackBody(tail)
+            body = FallbackBody(tuple(self.tokens[self.pos:-1]))
+            self.pos = len(self.tokens) - 1
+        self.expect_end()
         return AlterAddConstraint(table.lexeme, name.lexeme, body,
                                   line=name.line, column=name.column,
                                   table_pos=(table.line, table.column))
 
-    def paren_ident_list(self) -> tuple[str, ...]:
+    def paren_ident_list(self) -> list[Token]:
         self.expect_punct("(")
-        cols = [self.expect_ident()]
-        while self.peek() is not None and self.peek().is_punct(","):
-            self.advance()
-            cols.append(self.expect_ident())
+        cols = self.comma_list(self.expect_ident)
         self.expect_punct(")")
-        return tuple(t.lexeme for t in cols)
+        return cols
 
     def alter_modify(self, table: Token) -> AlterModify:
         col = self.expect_ident()
         spec = self.type_spec()
         nullability = None
-        tok = self.peek()
-        if tok is not None and tok.is_kw("NOT"):
-            self.advance()
+        if self.accept_kw("NOT"):
             self.expect_kw("NULL")
             nullability = "NOT NULL"
-        elif tok is not None and tok.is_kw("NULL"):
-            self.advance()
+        elif self.accept_kw("NULL"):
             nullability = "NULL"
         self.expect_end()
         change = ColumnClause(col.lexeme, spec, line=col.line,
@@ -453,6 +369,13 @@ class _Parser:
         return AlterModify(table.lexeme, change, nullability,
                            line=col.line, column=col.column,
                            table_pos=(table.line, table.column))
+
+
+_STATEMENTS: dict[str, Callable[[_Parser], Statement]] = {
+    "CREATE": _Parser.create_table, "DESC": _Parser.describe,
+    "DESCRIBE": _Parser.describe, "INSERT": _Parser.insert,
+    "SELECT": _Parser.select, "ALTER": _Parser.alter,
+}
 
 
 def parse(tokens: list[Token]) -> Statement:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import datetime
 import os
+import re
 from decimal import Decimal
 
 from .catalog import ColumnSchema, ConstraintDef, TableSchema
@@ -59,28 +60,19 @@ def _escape_cell(value: SqlValue) -> str:
                 .replace("\r", "\\r"))
 
 
+_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_SEQ = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _unescape_one(match: re.Match[str]) -> str:
+    try:
+        return _UNESCAPE[match.group(1)]
+    except KeyError:
+        raise SnapshotError(f"bad escape \\{match.group(1)}") from None
+
+
 def _unescape_cell(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-            elif nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            elif nxt == "r":
-                out.append("\r")
-            else:
-                raise SnapshotError(f"bad escape \\{nxt}")
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_SEQ.sub(_unescape_one, text)
 
 
 def saves(db: Database) -> str:
@@ -242,7 +234,7 @@ def load(path: str) -> Database:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SnapshotError(str(err)) from None
     return loads(text)
 

@@ -14,6 +14,7 @@ import io
 import os
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import TextIO
@@ -55,20 +56,20 @@ class Session:
     quiet: bool = False
     error_count: int = 0
 
-
-def _read_line(session: Session, prompt: str) -> str | None:
-    if not session.quiet:
-        session.out.write(prompt)
-        session.out.flush()
-    line = session.instream.readline()
-    if line == "":
-        if not session.quiet:
-            session.out.write("\n")
-        return None
-    line = line.rstrip("\r\n")
-    if session.echo_input and not session.quiet:
-        session.out.write(line + "\n")
-    return line
+    def read_line(self, prompt: str) -> str | None:
+        """Show prompt and read one input line; None at end of input."""
+        if not self.quiet:
+            self.out.write(prompt)
+            self.out.flush()
+        line = self.instream.readline()
+        if line == "":
+            if not self.quiet:
+                self.out.write("\n")
+            return None
+        line = line.rstrip("\r\n")
+        if self.echo_input and not self.quiet:
+            self.out.write(line + "\n")
+        return line
 
 
 def strip_terminator(line: str) -> str:
@@ -99,21 +100,18 @@ def _skip_comments(stream: TextIO, binds: list[tuple[str, str]]) -> None:
             binds.append(bind)
 
 
-def read_statement(session: Session,
-                   binds: list[tuple[str, str]] | None = None) -> str | None:
+def read_statement(read_line: Callable[[str], str | None]) -> str | None:
     """Next statement text, or None when the session should end.
 
-    When reading a script, binds is a list: "--" lines met at statement
-    start are then consumed without echo, and "-- bind name=value" ones
-    add to binds.
+    read_line(prompt) gives the next input line typed after prompt, or
+    None at end of input; the prompt is PROMPT at statement start and
+    continuation_prompt(n) for the statement's n-th line.
     """
     buffered: list[str] = []
     while True:
-        if binds is not None and not buffered:
-            _skip_comments(session.instream, binds)
         prompt = PROMPT if not buffered else continuation_prompt(
             len(buffered) + 1)
-        line = _read_line(session, prompt)
+        line = read_line(prompt)
         if line is None:
             return None
         stripped = line.strip()
@@ -151,7 +149,7 @@ def substitute_variables(
         name = match.group(1)
         display = name.lower()
         if remaining is None:
-            value = _read_line(session, f"Enter value for {display}: ")
+            value = session.read_line(f"Enter value for {display}: ")
             if value is None:
                 raise ShellEOF()
         else:
@@ -171,24 +169,17 @@ def substitute_variables(
 def render_result_set(rs: ResultSet) -> list[str]:
     if not rs.rows:
         return ["no rows selected"]
-    widths = []
-    for i, header in enumerate(rs.headers):
-        width = len(header)
-        for row in rs.rows:
-            width = max(width, len(_cell_text(row[i])))
-        widths.append(width)
+    texts = [[_cell_text(value) for value in row] for row in rs.rows]
+    widths = [max(len(header), *(len(row[i]) for row in texts))
+              for i, header in enumerate(rs.headers)]
     lines = [" ".join(h.ljust(w)
                       for h, w in zip(rs.headers, widths)).rstrip()]
     lines.append(" ".join("-" * w for w in widths))
-    for row in rs.rows:
-        cells = []
-        for value, width in zip(row, widths):
-            text = _cell_text(value)
-            if isinstance(value, Decimal):
-                cells.append(text.rjust(width))
-            else:
-                cells.append(text.ljust(width))
-        lines.append(" ".join(cells).rstrip())
+    for row, cells in zip(rs.rows, texts):
+        lines.append(" ".join(
+            text.rjust(width) if isinstance(value, Decimal)
+            else text.ljust(width)
+            for value, text, width in zip(row, cells, widths)).rstrip())
     lines.append("")
     return lines
 
@@ -238,10 +229,7 @@ def _emit(session: Session, lines: list[str]) -> None:
 
 
 def repl(session: Session) -> None:
-    while True:
-        text = read_statement(session)
-        if text is None:
-            return
+    while (text := read_statement(session.read_line)) is not None:
         try:
             block = execute_statement(session, text)
         except ShellEOF:
@@ -261,12 +249,16 @@ def run_script(session: Session, path: str) -> None:
     with open(path) as fh:
         session.instream = io.StringIO(fh.read())
     session.echo_input = True
-    while True:
-        binds: list[tuple[str, str]] = []
-        text = read_statement(session, binds)
-        if text is None:
-            return
+    binds: list[tuple[str, str]] = []
+
+    def read_line(prompt: str) -> str | None:
+        if prompt == PROMPT:
+            _skip_comments(session.instream, binds)
+        return session.read_line(prompt)
+
+    while (text := read_statement(read_line)) is not None:
         _emit(session, execute_statement(session, text, binds))
+        binds = []
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -299,8 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.script:
         try:
             run_script(session, args.script)
-        except OSError as err:
-            print(f"handy-sql: {err}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as err:
+            print(f"handy-sql: {args.script}: {err}", file=sys.stderr)
             return 2
     else:
         repl(session)

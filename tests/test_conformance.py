@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from handysql import conformance
 from handysql.conformance import (SUITES, Report, TranscriptFormatError,
                                   _is_directive, load_fixture, main,
                                   normalize_block, normalize_line,
                                   parse_transcript, replay, run_suite,
-                                  suite_path)
+                                  suite_path, update_goldens)
 
 SAMPLE = """-- demo transcript
 SQL> CREATE TABLE T(A NUMBER(3));
@@ -61,6 +62,16 @@ def test_parse_transcript_rejects_bad_continuation():
     with pytest.raises(TranscriptFormatError) as info:
         parse_transcript(text)
     assert "continuation" in str(info.value)
+    assert "line 2" in str(info.value)
+
+
+@pytest.mark.parametrize("text", [
+    "SQL> SELECT *\n  3  FROM DUAL;\n",
+    "SQL> exit\nSQL> SELECT * FROM DUAL;\n",
+])
+def test_parse_transcript_rejects_lines_the_shell_would_not_read(text):
+    with pytest.raises(TranscriptFormatError) as info:
+        parse_transcript(text)
     assert "line 2" in str(info.value)
 
 
@@ -158,3 +169,13 @@ def test_main_single_suite(capsys):
     out = capsys.readouterr().out
     assert "joins" in out
     assert "ddl" not in out
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_update_goldens_leaves_suite_bytes_unchanged(name, tmp_path,
+                                                     monkeypatch):
+    copy = tmp_path / suite_path(name).name
+    copy.write_bytes(suite_path(name).read_bytes())
+    monkeypatch.setattr(conformance, "suite_path", lambda _name: copy)
+    update_goldens(name)
+    assert copy.read_bytes() == suite_path(name).read_bytes()

@@ -261,3 +261,20 @@ def test_error_position_spans_lines():
     err = fails_with("INSERT INTO COURSE VALUES\n(4, 'INFT', )", 936,
                      line=2, column=13)
     assert err.line == 2
+
+
+@pytest.mark.parametrize("text, code, line, column", [
+    ("SELECT", 936, 1, 1),
+    ("SELECT A AS", 900, 1, 10),
+    ("SELECT A FROM", 900, 1, 10),
+    ("SELECT A FROM T WHERE A", 900, 1, 23),
+    ("SELECT A FROM T WHERE A IS NOT", 900, 1, 28),
+    ("INSERT INTO T VALUES (1,", 936, 1, 24),
+    ("CREATE TABLE T (A NUMBER(", 900, 1, 25),
+    ("ALTER TABLE T ADD CONSTRAINT C CHECK (", 936, 1, 38),
+    ("ALTER TABLE T MODIFY A NUMBER NOT", 900, 1, 31),
+    ("DESC", 900, 1, 1),
+    ("SELECT A\nFROM T\nWHERE A =", 936, 3, 9),
+])
+def test_early_end_is_reported_at_last_token(text, code, line, column):
+    fails_with(text, code, line=line, column=column)

@@ -173,7 +173,12 @@ def test_unparseable_cell_rejected():
 
 def test_bad_escape_rejected():
     reject("HANDYDB 1\nTABLE T\nCOL A VARCHAR2(5) NULL\nROWS T\n\\x\n",
-           "escape")
+           "bad escape \\x")
+
+
+def test_trailing_lone_backslash_stays_literal():
+    db = loads("HANDYDB 1\nTABLE T\nCOL A VARCHAR2(5) NULL\nROWS T\na\\\n")
+    assert db.tables["T"].rows == [["a\\"]]
 
 
 def test_check_violating_row_rejected():
@@ -222,6 +227,13 @@ def test_constraint_without_flag_rejected():
 def test_load_missing_file_raises_snapshot_error(tmp_path):
     with pytest.raises(SnapshotError):
         persistence.load(str(tmp_path / "absent.handydb"))
+
+
+def test_load_undecodable_file_raises_snapshot_error(tmp_path):
+    path = tmp_path / "bad.handydb"
+    path.write_bytes(b"HANDYDB 1\n\xff\n")
+    with pytest.raises(SnapshotError):
+        persistence.load(str(path))
 
 
 PINNED = (

@@ -28,29 +28,29 @@ def test_prompts():
 
 def test_read_statement_joins_continuations():
     session = scripted_session("SELECT *", "FROM DUAL;")
-    assert read_statement(session) == "SELECT *\nFROM DUAL"
+    assert read_statement(session.read_line) == "SELECT *\nFROM DUAL"
 
 
 def test_read_statement_slash_terminates_buffer():
     session = scripted_session("SELECT * FROM DUAL", "/")
-    assert read_statement(session) == "SELECT * FROM DUAL"
+    assert read_statement(session.read_line) == "SELECT * FROM DUAL"
 
 
 def test_leading_blank_lines_and_bare_slash_are_skipped():
     session = scripted_session("", "/", "", "SELECT 1 FROM DUAL;")
-    assert read_statement(session) == "SELECT 1 FROM DUAL"
+    assert read_statement(session.read_line) == "SELECT 1 FROM DUAL"
 
 
 def test_exit_quit_and_eof_end_session():
     for closer in ("exit", "QUIT", "Exit;", "quit ;"):
         session = scripted_session(closer)
-        assert read_statement(session) is None
-    assert read_statement(scripted_session()) is None
+        assert read_statement(session.read_line) is None
+    assert read_statement(scripted_session().read_line) is None
 
 
 def test_exit_only_recognized_at_statement_start():
     session = scripted_session("SELECT 'exit'", "FROM DUAL;")
-    assert read_statement(session) == "SELECT 'exit'\nFROM DUAL"
+    assert read_statement(session.read_line) == "SELECT 'exit'\nFROM DUAL"
 
 
 def test_interactive_substitution_prompts_every_occurrence():
@@ -203,6 +203,16 @@ def test_corrupt_db_is_usage_error(tmp_path):
     bad.write_text("HANDYDB 9\n")
     proc = run_cli(["--db", str(bad)], stdin_text="exit\n")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("flag", ["--script", "--db"])
+def test_undecodable_file_is_usage_error(tmp_path, flag):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\n")
+    proc = run_cli([flag, str(bad)], stdin_text="exit\n")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].startswith(f"handy-sql: {bad}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_db_round_trip_through_cli(tmp_path):
