@@ -118,12 +118,13 @@ def validate_existing(cat: Catalog, table: str, candidate: ConstraintDef,
             for col in candidate.columns:
                 if row[schema.index_of(col)] is None:
                     return Violation(candidate, NULL_COLUMN, ordinal)
-    seen: list[tuple[SqlValue, ...] | None] = [
-        _key_tuple(schema, candidate.columns, row) for row in rows]
-    for i, key in enumerate(seen):
+    # Equal keys hash equal, Decimal('1.0') and Decimal('1') included.
+    seen: set[tuple[SqlValue, ...]] = set()
+    for ordinal, row in enumerate(rows):
+        key = _key_tuple(schema, candidate.columns, row)
         if key is None:
             continue
-        for j in range(i):
-            if seen[j] == key:
-                return Violation(candidate, DUPLICATE_KEY, i)
+        if key in seen:
+            return Violation(candidate, DUPLICATE_KEY, ordinal)
+        seen.add(key)
     return None

@@ -3,11 +3,16 @@
 Bare identifiers and keywords fold to uppercase; quoted identifiers and
 string literals keep their case.  '&NAME' becomes a substitution-marker
 token when the shell has not already resolved it.
+
+The text is split by one compiled alternation matched left to right
+(the "Writing a Tokenizer" recipe of the re module documentation).
+Number literals use decimal digits (regex \\d, str.isdecimal); line and
+column come from match offsets, and only "\\n" starts a new line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
 from enum import Enum, auto
 
 from .errors import OraError
@@ -23,8 +28,6 @@ KEYWORDS = frozenset({
 
 AGGREGATE_FUNCS = frozenset({"AVG", "MIN", "MAX", "SUM", "COUNT"})
 
-_PUNCT = {"(", ")", ",", "*", ".", "=", "!=", "<>", "<", "<=", ">", ">="}
-
 
 class TokenKind(Enum):
     KEYWORD = auto()
@@ -37,12 +40,29 @@ class TokenKind(Enum):
     END = auto()  # end of input; appended by the parser, never lexed
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    lexeme: str
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
+    """One lexeme; equality and hashing ignore its position."""
+
+    __slots__ = ("kind", "lexeme", "line", "column")
+
+    def __init__(self, kind: TokenKind, lexeme: str,
+                 line: int = 1, column: int = 1):
+        self.kind = kind
+        self.lexeme = lexeme
+        self.line = line
+        self.column = column
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return self.kind is other.kind and self.lexeme == other.lexeme
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.lexeme))
+
+    def __repr__(self) -> str:
+        return (f"Token(kind={self.kind!r}, lexeme={self.lexeme!r}, "
+                f"line={self.line!r}, column={self.column!r})")
 
     def is_kw(self, *words: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.lexeme in words
@@ -51,124 +71,67 @@ class Token:
         return self.kind is TokenKind.PUNCT and self.lexeme in marks
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+# A word is [\w$#]* after a letter or "_".  "[^\W\d]" also admits
+# numeric characters that are not decimal digits ("²", "½"); tokenize
+# turns those away with str.isalpha.  A string closes at a quote not
+# followed by another: "''" inside it stands for one quote, and the
+# lookahead keeps "'ab''" from closing at the first quote of its "''".
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<WORD>[^\W\d][\w$\#]*)
+  | (?P<NUMBER>-?\d+(?:\.\d+)?)
+  | (?P<PUNCT><>|<=|>=|!=|[<>=(),*.])
+  | (?P<STRING>'(?:[^']|'')*'(?!'))
+  | (?P<QUOTED_IDENT>"[^"]*")
+  | (?P<SUBST>&[^\W\d][\w$\#]*)
+  | (?P<UNTERMINATED>['"])
+  | (?P<END>\Z)
+  | (?P<BAD>.)
+)""", re.VERBOSE | re.DOTALL)
 
-
-def _is_ident_char(ch: str) -> bool:
-    return bool(ch) and (ch.isalnum() or ch in "_$#")
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
+# Group numbers of _TOKEN's alternatives, and the token kind of each
+# that yields a token.  Enum attribute lookups are slow enough to show
+# per token, so the kinds are looked up here once.
+(_WORD, _NUMBER, _PUNCT, _STRING, _QUOTED_IDENT, _SUBST, _UNTERMINATED,
+ _END) = range(1, 9)
+_GROUP_KINDS = (None, TokenKind.IDENT, TokenKind.NUMBER, TokenKind.PUNCT,
+                TokenKind.STRING, TokenKind.QUOTED_IDENT, TokenKind.SUBST)
+_KEYWORD = TokenKind.KEYWORD
 
 
 def tokenize(text: str) -> list[Token]:
     """Split statement text into tokens, raising positioned OraErrors."""
-    sc = _Scanner(text)
     tokens: list[Token] = []
-    while sc.pos < len(sc.text):
-        ch = sc.peek()
-        if ch.isspace():
-            sc.advance()
-            continue
-        line, column = sc.line, sc.column
-        if ch == "'":
-            tokens.append(Token(TokenKind.STRING,
-                                _scan_string(sc), line, column))
-        elif ch == '"':
-            tokens.append(Token(TokenKind.QUOTED_IDENT,
-                                _scan_quoted_ident(sc), line, column))
-        elif ch.isdigit() or (ch == "-" and sc.peek(1).isdigit()):
-            tokens.append(Token(TokenKind.NUMBER,
-                                _scan_number(sc), line, column))
-        elif _is_ident_start(ch):
-            word = _scan_word(sc).upper()
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, line, column))
-        elif ch == "&" and _is_ident_start(sc.peek(1)):
-            sc.advance()
-            tokens.append(Token(TokenKind.SUBST,
-                                "&" + _scan_word(sc), line, column))
-        elif ch in "<>!=":
-            two = ch + sc.peek(1)
-            mark = two if two in _PUNCT else ch
-            if mark not in _PUNCT:
+    multiline = "\n" in text
+    line, line_start, seen = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        start = m.start(group)
+        if multiline:
+            nl = text.rfind("\n", seen, start)
+            if nl >= 0:
+                line += text.count("\n", seen, nl + 1)
+                line_start = nl + 1
+            seen = start
+        column = start - line_start + 1
+        if group >= _UNTERMINATED:
+            if group == _END:
+                break
+            raise OraError(1756 if group == _UNTERMINATED else 900,
+                           line, column)
+        kind = _GROUP_KINDS[group]
+        lexeme = m.group(group)
+        if group == _WORD:
+            if not (lexeme[0].isalpha() or lexeme[0] == "_"):
                 raise OraError(900, line, column)
-            for _ in mark:
-                sc.advance()
-            tokens.append(Token(TokenKind.PUNCT, mark, line, column))
-        elif ch in _PUNCT:
-            sc.advance()
-            tokens.append(Token(TokenKind.PUNCT, ch, line, column))
-        else:
+            lexeme = lexeme.upper()
+            if lexeme in KEYWORDS:
+                kind = _KEYWORD
+        elif group == _STRING:
+            lexeme = lexeme[1:-1].replace("''", "'")
+        elif group == _QUOTED_IDENT:
+            lexeme = lexeme[1:-1]
+        elif group == _SUBST and not (lexeme[1].isalpha()
+                                      or lexeme[1] == "_"):
             raise OraError(900, line, column)
+        tokens.append(Token(kind, lexeme, line, column))
     return tokens
-
-
-def _scan_string(sc: _Scanner) -> str:
-    start_line, start_col = sc.line, sc.column
-    sc.advance()
-    parts: list[str] = []
-    while True:
-        if sc.pos >= len(sc.text):
-            raise OraError(1756, start_line, start_col)
-        ch = sc.advance()
-        if ch == "'":
-            if sc.peek() == "'":
-                sc.advance()
-                parts.append("'")
-                continue
-            return "".join(parts)
-        parts.append(ch)
-
-
-def _scan_quoted_ident(sc: _Scanner) -> str:
-    start_line, start_col = sc.line, sc.column
-    sc.advance()
-    parts: list[str] = []
-    while True:
-        if sc.pos >= len(sc.text):
-            raise OraError(1756, start_line, start_col)
-        ch = sc.advance()
-        if ch == '"':
-            return "".join(parts)
-        parts.append(ch)
-
-
-def _scan_number(sc: _Scanner) -> str:
-    parts: list[str] = []
-    if sc.peek() == "-":
-        parts.append(sc.advance())
-    while sc.peek().isdigit():
-        parts.append(sc.advance())
-    if sc.peek() == "." and sc.peek(1).isdigit():
-        parts.append(sc.advance())
-        while sc.peek().isdigit():
-            parts.append(sc.advance())
-    return "".join(parts)
-
-
-def _scan_word(sc: _Scanner) -> str:
-    parts: list[str] = []
-    while _is_ident_char(sc.peek()):
-        parts.append(sc.advance())
-    return "".join(parts)

@@ -40,7 +40,9 @@ def _lexemes(tokens: list[Token]) -> tuple[str, ...]:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        assert tokens, "parser requires a non-empty token stream"
+        if not tokens:
+            # An empty statement (a lone ";") is invalid where it starts.
+            raise OraError(900, 1, 1)
         self.tokens = [*tokens, _END]
         self.pos = 0
 
@@ -379,7 +381,7 @@ _STATEMENTS: dict[str, Callable[[_Parser], Statement]] = {
 
 
 def parse(tokens: list[Token]) -> Statement:
-    """Parse one statement from a non-empty token stream."""
+    """Parse one statement; an empty token stream is ORA-00900 at 1:1."""
     return _Parser(tokens).statement()
 
 

@@ -26,6 +26,8 @@ import string
 from decimal import Decimal
 from fractions import Fraction
 
+from handysql.errors import OraError
+from handysql.lexer import TokenKind
 from handysql.nodes import (AggregateCall, ColumnRef, Comparison, IsNull,
                             Literal, Not)
 
@@ -220,6 +222,24 @@ def check_violation(pred, row: dict) -> bool:
     return eval_pred(pred, row) == FALSE
 
 
+def existing_key_violation(rows: list[dict], columns,
+                           primary: bool) -> tuple[str, int] | None:
+    """First (reason, ordinal) a new key over stored rows would report.
+
+    A primary key first looks for a NULL component in any row; then
+    each row is checked against every row before it, so the ordinal is
+    that of the later row of the first duplicate pair.
+    """
+    if primary:
+        for i, row in enumerate(rows):
+            if null_violation(row, columns):
+                return ("null", i)
+    for i, row in enumerate(rows):
+        if key_violation(rows[:i], row, columns, primary=False):
+            return ("duplicate", i)
+    return None
+
+
 # --- nested-loop SELECT oracle ---------------------------------------
 
 class Expected(Exception):
@@ -334,6 +354,114 @@ def nested_loop_select(tables: dict, stmt) -> list[list]:
                     "MAX": fold_max}[expr.func]
             folded.append(fold([c[i] for c in product]))
     return [folded]
+
+
+# --- lexer oracle ----------------------------------------------------
+
+_PUNCT = {"(", ")", ",", "*", ".", "=", "!=", "<>", "<", "<=", ">", ">="}
+
+
+class _Scanner:
+    """Character-at-a-time cursor; only "\n" starts a new line."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.column = 1
+
+    def peek(self, ahead: int = 0) -> str:
+        i = self.pos + ahead
+        return self.text[i] if i < len(self.text) else ""
+
+    def advance(self) -> str:
+        ch = self.text[self.pos]
+        self.pos += 1
+        if ch == "\n":
+            self.line += 1
+            self.column = 1
+        else:
+            self.column += 1
+        return ch
+
+    def word(self) -> str:
+        parts: list[str] = []
+        while self.peek() and (self.peek().isalnum() or self.peek() in "_$#"):
+            parts.append(self.advance())
+        return "".join(parts)
+
+    def quoted(self, quote: str, doubled_escapes: bool) -> str:
+        line, column = self.line, self.column
+        self.advance()
+        parts: list[str] = []
+        while True:
+            if self.pos >= len(self.text):
+                raise OraError(1756, line, column)
+            ch = self.advance()
+            if ch == quote:
+                if doubled_escapes and self.peek() == quote:
+                    parts.append(self.advance())
+                    continue
+                return "".join(parts)
+            parts.append(ch)
+
+    def number(self) -> str:
+        parts: list[str] = []
+        if self.peek() == "-":
+            parts.append(self.advance())
+        while self.peek().isdecimal():
+            parts.append(self.advance())
+        if self.peek() == "." and self.peek(1).isdecimal():
+            parts.append(self.advance())
+            while self.peek().isdecimal():
+                parts.append(self.advance())
+        return "".join(parts)
+
+
+def _ident_start(ch: str) -> bool:
+    return ch.isalpha() or ch == "_"
+
+
+def reference_tokenize(text: str) -> list[tuple]:
+    """(kind, lexeme, line, column) of each token, scanned by hand.
+
+    The engine's lexer before it became one regular expression, except
+    that numbers take str.isdecimal digits where it took str.isdigit.
+    Errors raise OraError: 1756 at an unclosed quote, 900 elsewhere.
+    """
+    sc = _Scanner(text)
+    tokens: list[tuple] = []
+    while sc.pos < len(text):
+        ch = sc.peek()
+        if ch.isspace():
+            sc.advance()
+            continue
+        line, column = sc.line, sc.column
+        if ch == "'":
+            kind, lexeme = TokenKind.STRING, sc.quoted("'", True)
+        elif ch == '"':
+            kind, lexeme = TokenKind.QUOTED_IDENT, sc.quoted('"', False)
+        elif ch.isdecimal() or (ch == "-" and sc.peek(1).isdecimal()):
+            kind, lexeme = TokenKind.NUMBER, sc.number()
+        elif _ident_start(ch):
+            lexeme = sc.word().upper()
+            kind = (TokenKind.KEYWORD if lexeme in _KEYWORDS
+                    else TokenKind.IDENT)
+        elif ch == "&" and _ident_start(sc.peek(1)):
+            sc.advance()
+            kind, lexeme = TokenKind.SUBST, "&" + sc.word()
+        elif ch in _PUNCT or ch == "!":
+            two = ch + sc.peek(1)
+            lexeme = two if len(two) == 2 and two in _PUNCT else ch
+            if lexeme not in _PUNCT:
+                raise OraError(900, line, column)
+            for _ in lexeme:
+                sc.advance()
+            kind = TokenKind.PUNCT
+        else:
+            raise OraError(900, line, column)
+        tokens.append((kind, lexeme, line, column))
+    return tokens
 
 
 # --- generators ------------------------------------------------------

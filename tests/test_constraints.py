@@ -1,5 +1,9 @@
 from decimal import Decimal
+from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
+import reference
 from handysql.catalog import (Catalog, ColumnSchema, ConstraintDef,
                               TableSchema)
 from handysql.constraints import (DUPLICATE_KEY, FAILED_PREDICATE,
@@ -155,3 +159,37 @@ def test_validate_existing_unique_allows_nulls():
     cat = build_catalog()
     rows = [row(b=None), row(b=None), row(b=4)]
     assert validate_existing(cat, "T", unique("U_B", "B"), rows) is None
+
+
+# Numbers spelled at several scales, so equal keys differ in Decimal form.
+_NUMBERS = ("0", "1", "1.0", "1.00", "-1", "-1.0", "2.5", "2.50")
+_REASONS = {NULL_COLUMN: "null", DUPLICATE_KEY: "duplicate"}
+
+
+@st.composite
+def key_tables(draw):
+    columns = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3,
+                            unique=True))
+    cell = {"A": st.sampled_from(_NUMBERS).map(Decimal),
+            "B": st.sampled_from(_NUMBERS).map(Decimal),
+            "C": st.sampled_from(("x", "y"))}
+    rows = draw(st.lists(st.fixed_dictionaries(
+        {c: st.one_of(st.none(), cell[c]) for c in "ABC"}), max_size=12))
+    return tuple(columns), rows, draw(st.booleans())
+
+
+@given(key_tables())
+def test_validate_existing_keys_match_reference(table):
+    columns, rows, primary = table
+    candidate = pk(*columns) if primary else unique("U_T", *columns)
+    violation = validate_existing(build_catalog(), "T", candidate,
+                                  [[r["A"], r["B"], r["C"]] for r in rows])
+    as_fractions = [{c: Fraction(v) if isinstance(v, Decimal) else v
+                     for c, v in r.items()} for r in rows]
+    expected = reference.existing_key_violation(as_fractions, columns,
+                                                primary)
+    if expected is None:
+        assert violation is None
+    else:
+        assert violation is not None and violation.constraint is candidate
+        assert (_REASONS[violation.reason], violation.row_ordinal) == expected

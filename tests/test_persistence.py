@@ -189,6 +189,11 @@ def test_check_violating_row_rejected():
     reject(tampered, "CH")
 
 
+def test_empty_check_body_rejected():
+    reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NULL\n"
+           "CONSTRAINT C T CHECK \n", "bad check predicate ''")
+
+
 def test_duplicate_pk_rows_rejected():
     db = build_db("CREATE TABLE T(A NUMBER(5))",
                   "INSERT INTO T VALUES(1)",

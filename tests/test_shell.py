@@ -78,6 +78,25 @@ def test_missing_binding_yields_diagnostic_block():
     assert session.error_count == 1
 
 
+EMPTY_STATEMENT_BLOCK = ["", "*", "ERROR at line 1:",
+                         "ORA-00900: invalid SQL statement", ""]
+
+
+def test_empty_substitution_is_900_at_start():
+    session = make_session()
+    block = run_sql(session, "&X", bindings=[("X", "")])
+    assert block == ["Enter value for x: ", *EMPTY_STATEMENT_BLOCK]
+    assert session.error_count == 1
+
+
+def test_lone_semicolon_is_900_at_the_prompt():
+    proc = run_cli([], stdin_text=";\nSELECT * FROM DUAL;\n")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "SQL> ;\n" + "\n".join(EMPTY_STATEMENT_BLOCK) in proc.stdout
+    assert "DUMMY" in proc.stdout
+
+
 def test_feedback_block_shape(session):
     block = run_sql(session, "CREATE TABLE T(A NUMBER)")
     assert block == ["", "Table created.", ""]
