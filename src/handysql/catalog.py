@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import constraints as checks
 from .errors import OraError, violation_error
-from .evaluate import predicate_nodes
+from .evaluate import Test, compile_predicate, predicate_nodes
 from .lexer import TokenKind
 from .nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, CheckBody, ColumnRef,
@@ -69,6 +69,30 @@ class ConstraintDef:
     columns: tuple[str, ...] = ()
     predicate: Predicate | None = None
     column: str | None = None  # NOTNULL target
+    # A CHECK's predicate compiled over the table's column positions;
+    # made by check_constraint.
+    test: Test | None = field(default=None, compare=False, repr=False)
+
+
+def check_constraint(name: str, schema: TableSchema,
+                     predicate: Predicate) -> ConstraintDef:
+    """A CHECK constraint on a table, its predicate compiled once.
+
+    The predicate may name only the table's own columns (904) and no
+    aggregate (934).  Columns never move, since the subset can neither
+    add nor drop one, so the compiled test stays valid.
+    """
+    aggs = predicate_nodes(predicate, AggregateCall)
+    if aggs:
+        raise OraError(934, aggs[0].line, aggs[0].column)
+    slot_of: dict[ColumnRef, int] = {}
+    for ref in predicate_nodes(predicate, ColumnRef):
+        if ((ref.qualifier is not None and ref.qualifier != schema.name)
+                or schema.find(ref.name) is None):
+            raise OraError(904, ref.line, ref.column)
+        slot_of[ref] = schema.index_of(ref.name)
+    return ConstraintDef(name, schema.name, "CHECK", predicate=predicate,
+                         test=compile_predicate(predicate, slot_of))
 
 
 @dataclass
@@ -189,29 +213,14 @@ def add_constraint(cat: Catalog, stmt: AlterAddConstraint,
                                    columns=stmt.body.columns)
     else:
         assert isinstance(stmt.body, CheckBody)
-        _validate_check_predicate(schema, stmt)
-        definition = ConstraintDef(stmt.name, stmt.table, "CHECK",
-                                   predicate=stmt.body.predicate)
+        definition = check_constraint(stmt.name, schema,
+                                      stmt.body.predicate)
 
     violation = checks.validate_existing(cat, stmt.table, definition, rows)
     if violation is not None:
         raise violation_error(violation)
     cat.constraints.append(definition)
     return "Table altered."
-
-
-def _validate_check_predicate(schema: TableSchema,
-                              stmt: AlterAddConstraint) -> None:
-    body = stmt.body
-    assert isinstance(body, CheckBody)
-    aggs = predicate_nodes(body.predicate, AggregateCall)
-    if aggs:
-        raise OraError(934, aggs[0].line, aggs[0].column)
-    for ref in predicate_nodes(body.predicate, ColumnRef):
-        if ref.qualifier is not None and ref.qualifier != schema.name:
-            raise OraError(904, ref.line, ref.column)
-        if schema.find(ref.name) is None:
-            raise OraError(904, ref.line, ref.column)
 
 
 def _narrowing(old: SqlType, new: SqlType) -> bool:

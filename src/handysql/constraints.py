@@ -6,7 +6,9 @@ found or None; mapping violations to ORA codes happens elsewhere.
 
 Evaluation order: NOT NULL constraints first (in column order), then
 the registered constraints in creation order.  Uniqueness never fires on
-key tuples containing NULL.
+key tuples containing NULL.  A CHECK runs the test compiled when its
+constraint was made, and accepts TRUE and UNKNOWN: only a definite
+FALSE violates.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .evaluate import eval_predicate
-from .nodes import ColumnRef
-from .values import SqlValue, Tristate
+from .evaluate import FALSE
+from .values import SqlValue
 
 if TYPE_CHECKING:
     from .catalog import Catalog, ConstraintDef, TableSchema
@@ -31,19 +32,6 @@ class Violation:
     constraint: ConstraintDef
     reason: str
     row_ordinal: int
-
-
-def _row_resolver(schema: TableSchema, row: list[SqlValue]):
-    def resolve(ref: ColumnRef) -> SqlValue:
-        # CHECK predicates are validated against the schema when added,
-        # so lookups here cannot miss.
-        return row[schema.index_of(ref.name)]
-    return resolve
-
-
-def _check_passes(schema: TableSchema, predicate, row: list[SqlValue]) -> bool:
-    # CHECK accepts TRUE and UNKNOWN; only a definite FALSE violates.
-    return eval_predicate(predicate, _row_resolver(schema, row)) is not Tristate.FALSE
 
 
 def _key_tuple(schema: TableSchema, columns: tuple[str, ...],
@@ -93,7 +81,7 @@ def check_row(cat: Catalog, table: str, row: list[SqlValue],
                 if _key_tuple(schema, c.columns, other) == key:
                     return Violation(c, DUPLICATE_KEY, ordinal)
         elif c.kind == "CHECK":
-            if not _check_passes(schema, c.predicate, row):
+            if c.test(row) is FALSE:
                 return Violation(c, FAILED_PREDICATE, len(existing))
     return None
 
@@ -109,8 +97,9 @@ def validate_existing(cat: Catalog, table: str, candidate: ConstraintDef,
                 return Violation(candidate, NULL_COLUMN, ordinal)
         return None
     if candidate.kind == "CHECK":
+        test = candidate.test
         for ordinal, row in enumerate(rows):
-            if not _check_passes(schema, candidate.predicate, row):
+            if test(row) is FALSE:
                 return Violation(candidate, FAILED_PREDICATE, ordinal)
         return None
     if candidate.kind == "PK":

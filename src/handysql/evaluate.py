@@ -1,53 +1,124 @@
-"""Row-level predicate evaluation shared by WHERE, ON and CHECK.
+"""Row-level predicates shared by WHERE, ON and CHECK, compiled once.
 
-The caller supplies a resolver mapping column references to runtime
-values; this module only knows Kleene logic and value comparison.
-Aggregate calls are illegal inside predicates (934).
+compile_predicate turns a predicate tree into nested closures over the
+slots of a row, given the slot of every column it names: a column
+becomes operator.itemgetter(slot) and a literal a constant.  The
+closures follow Kleene logic.  A comparison reads its left operand,
+then its right; NULL on either side is UNKNOWN, and values of two
+different kinds raise 1722 or 932 at the comparison.  AND and OR
+evaluate both sides, left first, so an error on the right surfaces
+even when the left already decides the result.  Aggregate calls are
+illegal inside predicates: one raises 934 at its own position when it
+is evaluated, not when it is compiled.
 """
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from collections.abc import Callable, Mapping, Sequence
+from operator import itemgetter
+from typing import TypeVar
 
 from .errors import OraError
 from .nodes import (
     AggregateCall, BoolOp, ColumnRef, Comparison, Expr, IsNull, Literal,
     Not, Predicate,
 )
-from .values import SqlValue, Tristate, and3, compare_values, from_bool, not3, or3
+from .values import COMPARE_OPS, SqlValue, Tristate, compare_values
 
-Resolver = Callable[[ColumnRef], SqlValue]
+Row = Sequence[SqlValue]
+Test = Callable[[Row], Tristate]
 N = TypeVar("N")
 
+# Looking up an Enum member costs about 0.2 us on Python 3.11, and the
+# closures below run once per row, so they read these instead.
+TRUE, FALSE, UNKNOWN = Tristate.TRUE, Tristate.FALSE, Tristate.UNKNOWN
 
-def eval_expr(expr: Expr, resolve: Resolver) -> SqlValue:
-    if isinstance(expr, Literal):
-        return expr.value
+
+def eval_predicate(test: Test, row: Row) -> Tristate:
+    """One evaluation of a compiled predicate on one row."""
+    return test(row)
+
+
+def compile_predicate(pred: Predicate,
+                      slot_of: Mapping[ColumnRef, int]) -> Test:
+    """A function of a row giving pred's truth value on it."""
+    if isinstance(pred, Comparison):
+        return _compile_comparison(pred, slot_of)
+    if isinstance(pred, IsNull):
+        get = _compile_expr(pred.operand, slot_of)
+        when_null, when_not = (FALSE, TRUE) if pred.negated else (TRUE, FALSE)
+        return lambda row: when_null if get(row) is None else when_not
+    if isinstance(pred, Not):
+        inner = compile_predicate(pred.operand, slot_of)
+
+        def negation(row: Row) -> Tristate:
+            state = inner(row)
+            if state is TRUE:
+                return FALSE
+            if state is FALSE:
+                return TRUE
+            return UNKNOWN
+        return negation
+    if isinstance(pred, BoolOp):
+        left = compile_predicate(pred.left, slot_of)
+        right = compile_predicate(pred.right, slot_of)
+        if pred.op == "AND":
+            def conjunction(row: Row) -> Tristate:
+                a = left(row)
+                b = right(row)
+                if a is FALSE or b is FALSE:
+                    return FALSE
+                if a is TRUE and b is TRUE:
+                    return TRUE
+                return UNKNOWN
+            return conjunction
+
+        def disjunction(row: Row) -> Tristate:
+            a = left(row)
+            b = right(row)
+            if a is TRUE or b is TRUE:
+                return TRUE
+            if a is FALSE and b is FALSE:
+                return FALSE
+            return UNKNOWN
+        return disjunction
+    raise AssertionError(f"unknown predicate {pred!r}")
+
+
+def _compile_expr(expr: Expr, slot_of: Mapping[ColumnRef, int],
+                  ) -> Callable[[Row], SqlValue]:
     if isinstance(expr, ColumnRef):
-        return resolve(expr)
+        return itemgetter(slot_of[expr])
+    if isinstance(expr, Literal):
+        value = expr.value
+        return lambda row: value
     if isinstance(expr, AggregateCall):
-        raise OraError(934, expr.line, expr.column)
+        def aggregate(row: Row) -> SqlValue:
+            raise OraError(934, expr.line, expr.column)
+        return aggregate
     raise AssertionError(f"unknown expression {expr!r}")
 
 
-def eval_predicate(pred: Predicate, resolve: Resolver) -> Tristate:
-    if isinstance(pred, Comparison):
-        left = eval_expr(pred.left, resolve)
-        right = eval_expr(pred.right, resolve)
+def _compile_comparison(pred: Comparison,
+                        slot_of: Mapping[ColumnRef, int]) -> Test:
+    op = COMPARE_OPS[pred.op]
+    get_left = _compile_expr(pred.left, slot_of)
+    get_right = _compile_expr(pred.right, slot_of)
+
+    def comparison(row: Row) -> Tristate:
+        a = get_left(row)
+        b = get_right(row)
+        if a is None or b is None:
+            return UNKNOWN
+        if type(a) is type(b):
+            return TRUE if op(a, b) else FALSE
+        # Two values of different Python types: compare_values decides
+        # whether they are still of one kind, and raises if not.
         try:
-            return compare_values(left, right, pred.op)
+            return compare_values(a, b, pred.op)
         except OraError as err:
             raise OraError(err.code, pred.line, pred.column) from None
-    if isinstance(pred, IsNull):
-        is_null = eval_expr(pred.operand, resolve) is None
-        return from_bool(is_null != pred.negated)
-    if isinstance(pred, Not):
-        return not3(eval_predicate(pred.operand, resolve))
-    if isinstance(pred, BoolOp):
-        left = eval_predicate(pred.left, resolve)
-        right = eval_predicate(pred.right, resolve)
-        return and3(left, right) if pred.op == "AND" else or3(left, right)
-    raise AssertionError(f"unknown predicate {pred!r}")
+    return comparison
 
 
 def predicate_nodes(pred: Predicate, kind: type[N]) -> list[N]:

@@ -1,13 +1,14 @@
 """Statement execution over in-memory tables.
 
 A select is planned once and then run as a stream of rows.  Planning
-binds every column reference to a slot of the combined row and, when no
-predicate can raise, picks for each table after the first an equality
-with an earlier table to hash-join on.  Running pulls rows through
-generators, left to right over the FROM list, and keeps nested-loop
-order: rows follow the first table's insertion order, then the second
-table's within each, and so on.  A comma join with a WHERE filter is
-the same computation as INNER JOIN ... ON.  Join output is all
+binds every column reference to a slot of the combined row, compiles
+each ON and WHERE predicate and the select list into functions of that
+row, and, when no predicate can raise, picks for each table after the
+first an equality with an earlier table to hash-join on.  Running pulls
+rows through generators, left to right over the FROM list, and keeps
+nested-loop order: rows follow the first table's insertion order, then
+the second table's within each, and so on.  A comma join with a WHERE
+filter is the same computation as INNER JOIN ... ON.  Join output is all
 left-table columns then all right-table columns, in schema order, names
 un-renamed.
 """
@@ -15,7 +16,7 @@ un-renamed.
 from __future__ import annotations
 
 import datetime
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -24,7 +25,9 @@ from . import catalog as cat_mod
 from .catalog import Catalog, ColumnSchema, TableSchema
 from .constraints import check_row
 from .errors import OraError, violation_error
-from .evaluate import eval_predicate, predicate_nodes
+from .evaluate import (
+    TRUE, Test, compile_predicate, eval_predicate, predicate_nodes,
+)
 from .nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, BoolOp, ColumnRef,
     Comparison, CreateTable, Describe, Expr, Insert, Literal, Predicate,
@@ -32,7 +35,7 @@ from .nodes import (
 )
 from .render import render_expr
 from .values import (
-    DateType, NumberType, SqlValue, Tristate, Varchar2Type, coerce_value,
+    DateType, NumberType, SqlValue, Varchar2Type, coerce_value,
     exact_sum, round_significant,
 )
 
@@ -268,10 +271,7 @@ def execute_select(db: Database, stmt: Select) -> ResultSet:
                for item in stmt.items]
         return ResultSet(headers, [row])
 
-    slots = _resolve_items(stmt, scope)
-    return ResultSet(headers, [
-        [row[slot] if slot is not None else const for slot, const in slots]
-        for row in rows])
+    return ResultSet(headers, list(map(_projection(stmt, scope), rows)))
 
 
 def _matching_rows(scope: _Scope, on: Predicate | None,
@@ -287,7 +287,8 @@ def _matching_rows(scope: _Scope, on: Predicate | None,
     if on is not None and scope.may_raise(on, slot_of):
         # ON errors outrank every WHERE error, so ON runs over the whole
         # product before WHERE is even resolved.
-        rows = list(_passing(_joined(scope.sources, {}), on, slot_of))
+        rows = list(_passing(_joined(scope.sources, {}),
+                             compile_predicate(on, slot_of)))
         on = None
     if where is not None:
         aggs = predicate_nodes(where, AggregateCall)
@@ -303,7 +304,7 @@ def _matching_rows(scope: _Scope, on: Predicate | None,
             keys = scope.hash_keys(preds, slot_of)
         rows = _joined(scope.sources, keys)
     for pred in preds:
-        rows = _passing(rows, pred, slot_of)
+        rows = _passing(rows, compile_predicate(pred, slot_of))
     return rows
 
 
@@ -343,16 +344,10 @@ def _hash_join(left_rows: Iterable[Row], right_rows: list[Row],
             yield left + right
 
 
-def _passing(rows: Iterable[Row], pred: Predicate,
-             slot_of: dict[ColumnRef, int]) -> Iterator[Row]:
-    """The rows on which pred is TRUE, evaluated in order."""
-    row: Row = []
-
-    def resolve(ref: ColumnRef) -> SqlValue:
-        return row[slot_of[ref]]
-
+def _passing(rows: Iterable[Row], test: Test) -> Iterator[Row]:
+    """The rows on which a compiled predicate is TRUE, evaluated in order."""
     for row in rows:
-        if eval_predicate(pred, resolve) is Tristate.TRUE:
+        if eval_predicate(test, row) is TRUE:
             yield row
 
 
@@ -364,18 +359,19 @@ def _item_header(item) -> str:
     return render_expr(item.expr)
 
 
-def _resolve_items(stmt: Select, scope: _Scope):
-    """(slot, constant) per item: slot indexes the combined row."""
-    slots: list[tuple[int | None, SqlValue]] = []
+def _projection(stmt: Select, scope: _Scope) -> Callable[[Row], Row]:
+    """The select list as one function from a combined row to a row."""
+    cells: list[tuple[int | None, SqlValue]] = []  # (slot, constant)
     for item in stmt.items:
         expr = item.expr
         if isinstance(expr, ColumnRef):
-            slots.append((scope.resolve(expr), None))
+            cells.append((scope.resolve(expr), None))
         elif isinstance(expr, Literal):
-            slots.append((None, expr.value))
+            cells.append((None, expr.value))
         else:
             raise OraError(937, expr.line, expr.column)
-    return slots
+    return lambda row: [row[slot] if slot is not None else const
+                        for slot, const in cells]
 
 
 def _eval_aggregate_item(item, rows: list[Row], scope: _Scope) -> SqlValue:

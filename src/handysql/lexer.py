@@ -65,10 +65,10 @@ class Token:
                 f"line={self.line!r}, column={self.column!r})")
 
     def is_kw(self, *words: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.lexeme in words
+        return self.kind is _KEYWORD_KIND and self.lexeme in words
 
     def is_punct(self, *marks: str) -> bool:
-        return self.kind is TokenKind.PUNCT and self.lexeme in marks
+        return self.kind is _PUNCT_KIND and self.lexeme in marks
 
 
 # A word is [\w$#]* after a letter or "_".  "[^\W\d]" also admits
@@ -95,7 +95,7 @@ _TOKEN = re.compile(r"""\s*(?:
  _END) = range(1, 9)
 _GROUP_KINDS = (None, TokenKind.IDENT, TokenKind.NUMBER, TokenKind.PUNCT,
                 TokenKind.STRING, TokenKind.QUOTED_IDENT, TokenKind.SUBST)
-_KEYWORD = TokenKind.KEYWORD
+_KEYWORD_KIND, _PUNCT_KIND = TokenKind.KEYWORD, TokenKind.PUNCT
 
 
 def tokenize(text: str) -> list[Token]:
@@ -125,7 +125,7 @@ def tokenize(text: str) -> list[Token]:
                 raise OraError(900, line, column)
             lexeme = lexeme.upper()
             if lexeme in KEYWORDS:
-                kind = _KEYWORD
+                kind = _KEYWORD_KIND
         elif group == _STRING:
             lexeme = lexeme[1:-1].replace("''", "'")
         elif group == _QUOTED_IDENT:

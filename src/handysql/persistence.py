@@ -13,12 +13,15 @@ Format, line oriented:
 
 Lines end with "\\n" only.  Row cells are tab separated; NULL is \\N;
 backslash, tab, newline and carriage return are escaped.  Dates are
-stored ISO (YYYY-MM-DD), numbers in plain positional notation.  The
-NOTNULL/NULL field of a COL line is derived from the constraint list
-when saving and, on loading, must match what the constraints imply.
-Loading rebuilds the catalog and re-validates every row against its
-column types and all constraints, so a snapshot edited into an
-inconsistent state is rejected rather than trusted.
+stored ISO (YYYY-MM-DD), numbers in plain positional notation.  A CHECK
+body is its predicate's SQL text; one whose literals hold a newline or
+a carriage return is escaped as a cell is, behind a leading backslash,
+which no SQL text starts with.  The NOTNULL/NULL field of a COL line
+is derived from the constraint list when saving and, on loading, must
+match what the constraints imply.  Loading rebuilds the catalog and
+re-validates every row against its column types and all constraints,
+so a snapshot edited into an inconsistent state is rejected rather than
+trusted.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ import os
 import re
 from decimal import Decimal
 
-from .catalog import ColumnSchema, ConstraintDef, TableSchema
+from .catalog import (
+    ColumnSchema, ConstraintDef, TableSchema, check_constraint,
+)
 from .constraints import not_null_sources, validate_existing
 from .errors import OraError
 from .executor import Database, StoredTable
@@ -75,6 +80,21 @@ def _unescape_cell(text: str) -> str:
     return _ESCAPE_SEQ.sub(_unescape_one, text)
 
 
+def _encode_check_body(body: str) -> str:
+    # Bodies without line breaks are written as they are, so every file
+    # an earlier version wrote, backslashes in literals included, keeps
+    # its meaning.
+    if "\n" in body or "\r" in body:
+        return "\\" + _escape_cell(body)
+    return body
+
+
+def _decode_check_body(detail: str) -> str:
+    if detail.startswith("\\"):
+        return _unescape_cell(detail[1:])
+    return detail
+
+
 def saves(db: Database) -> str:
     lines = [_MAGIC]
     for name, stored in db.tables.items():
@@ -85,7 +105,7 @@ def saves(db: Database) -> str:
             lines.append(f"COL {col.name} {type_display(col.type)} {null}")
     for con in db.catalog.constraints:
         if con.kind == "CHECK":
-            detail = render_predicate(con.predicate)
+            detail = _encode_check_body(render_predicate(con.predicate))
         elif con.kind == "NOTNULL":
             detail = con.column
         else:
@@ -152,7 +172,9 @@ def loads(text: str) -> Database:
     db = Database()
     current: TableSchema | None = None
     rows_for: StoredTable | None = None
-    pending_checks: list[tuple[ConstraintDef, str]] = []
+    # (position in the constraint list, name, table, body) of each CHECK,
+    # compiled once every column is known.
+    pending_checks: list[tuple[int, str, str, str]] = []
     flagged: dict[str, set[str]] = {}  # table -> columns marked NOTNULL
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -194,7 +216,14 @@ def loads(text: str) -> Database:
                                     columns=tuple(detail.split(",")))
             elif kind == "CHECK":
                 con = ConstraintDef(cname, table, "CHECK")
-                pending_checks.append((con, detail))
+                try:
+                    body = _decode_check_body(detail)
+                except SnapshotError as err:
+                    raise SnapshotError(
+                        f"line {lineno}: bad check predicate {detail!r}: "
+                        f"{err}") from None
+                pending_checks.append((len(db.catalog.constraints), cname,
+                                       table, body))
             elif kind == "NOTNULL":
                 con = ConstraintDef(cname, table, "NOTNULL", column=detail)
             else:
@@ -216,15 +245,14 @@ def loads(text: str) -> Database:
         else:
             raise SnapshotError(f"line {lineno}: unexpected line {line!r}")
 
-    for i, (con, detail) in enumerate(pending_checks):
+    for idx, cname, table, body in pending_checks:
         try:
-            pred = parse_standalone_predicate(detail)
+            db.catalog.constraints[idx] = check_constraint(
+                cname, db.catalog.tables[table],
+                parse_standalone_predicate(body))
         except OraError as err:
             raise SnapshotError(
-                f"bad check predicate {detail!r}: {err}") from None
-        idx = db.catalog.constraints.index(con)
-        db.catalog.constraints[idx] = ConstraintDef(
-            con.name, con.table, "CHECK", predicate=pred)
+                f"bad check predicate {body!r}: {err}") from None
 
     _validate(db, flagged)
     return db

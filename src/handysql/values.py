@@ -9,6 +9,7 @@ yield UNKNOWN.
 from __future__ import annotations
 
 import datetime
+import operator
 import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
@@ -219,14 +220,8 @@ def coerce_value(value: SqlValue, target: SqlType) -> SqlValue:
     raise OraError(932)
 
 
-_COMPARE_OPS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+COMPARE_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def compare_values(a: SqlValue, b: SqlValue, op: str) -> Tristate:
@@ -248,7 +243,7 @@ def compare_values(a: SqlValue, b: SqlValue, op: str) -> Tristate:
         if str in kinds and Decimal in kinds:
             raise OraError(1722)
         raise OraError(932)
-    return from_bool(_COMPARE_OPS[op](a, b))
+    return from_bool(COMPARE_OPS[op](a, b))
 
 
 def round_significant(value: Fraction, digits: int = MAX_PRECISION) -> Decimal:

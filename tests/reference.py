@@ -14,8 +14,8 @@ operand shape:
     ("col", name) | ("lit", value)
 with values being None, int, Fraction, str, or datetime.date.
 
-The SELECT oracle is the exception to the tuple shapes: it runs a
-parsed statement tree by brute force over every combination of rows.
+The SELECT oracle and the tree-walking predicate evaluator are the
+exceptions to the tuple shapes: they run parsed statement trees.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import string
 from decimal import Decimal
 from fractions import Fraction
 
+from handysql import values
 from handysql.errors import OraError
 from handysql.lexer import TokenKind
-from handysql.nodes import (AggregateCall, ColumnRef, Comparison, IsNull,
-                            Literal, Not)
+from handysql.nodes import (AggregateCall, BoolOp, ColumnRef, Comparison,
+                            IsNull, Literal, Not)
 
 TRUE, FALSE, UNKNOWN = "T", "F", "U"
 
@@ -238,6 +239,47 @@ def existing_key_violation(rows: list[dict], columns,
         if key_violation(rows[:i], row, columns, primary=False):
             return ("duplicate", i)
     return None
+
+
+# --- tree-walking predicate oracle -----------------------------------
+
+def interpret_expr(expr, resolve):
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, ColumnRef):
+        return resolve(expr)
+    if isinstance(expr, AggregateCall):
+        raise OraError(934, expr.line, expr.column)
+    raise AssertionError(f"unknown expression {expr!r}")
+
+
+def interpret_predicate(pred, resolve) -> values.Tristate:
+    """A parsed predicate's truth value, walking the tree on every call.
+
+    resolve maps a column reference to its value.  This is the engine's
+    evaluator from before predicates were compiled: comparisons read
+    left then right, AND/OR always evaluate both sides, and an
+    aggregate raises 934 when reached.
+    """
+    if isinstance(pred, Comparison):
+        left = interpret_expr(pred.left, resolve)
+        right = interpret_expr(pred.right, resolve)
+        try:
+            return values.compare_values(left, right, pred.op)
+        except OraError as err:
+            raise OraError(err.code, pred.line, pred.column) from None
+    if isinstance(pred, IsNull):
+        is_null = interpret_expr(pred.operand, resolve) is None
+        return values.from_bool(is_null != pred.negated)
+    if isinstance(pred, Not):
+        return values.not3(interpret_predicate(pred.operand, resolve))
+    if isinstance(pred, BoolOp):
+        left = interpret_predicate(pred.left, resolve)
+        right = interpret_predicate(pred.right, resolve)
+        if pred.op == "AND":
+            return values.and3(left, right)
+        return values.or3(left, right)
+    raise AssertionError(f"unknown predicate {pred!r}")
 
 
 # --- nested-loop SELECT oracle ---------------------------------------

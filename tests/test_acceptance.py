@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import reference as ref
 
-from handysql.catalog import Catalog, ColumnSchema, ConstraintDef, TableSchema
+from handysql.catalog import (Catalog, ColumnSchema, ConstraintDef,
+                              TableSchema, check_constraint)
 from handysql.conformance import parse_transcript, run_suite, suite_path
 from handysql.constraints import (DUPLICATE_KEY, FAILED_PREDICATE,
                                   NULL_COLUMN, check_row)
@@ -414,8 +415,8 @@ def test_criterion_08_constraint_verdicts():
                       else DUPLICATE_KEY)
         else:
             pred = ref.gen_predicate(rng, columns)
-            cons = ConstraintDef("C1", "T", "CHECK",
-                                 predicate=to_engine_pred(pred))
+            cons = check_constraint("C1", _schema(columns),
+                                    to_engine_pred(pred))
             expect = ref.check_violation(pred, candidate)
             reason = FAILED_PREDICATE
         cat = Catalog(tables={"T": _schema(columns)},

@@ -5,21 +5,22 @@ from hypothesis import given, strategies as st
 
 import reference
 from handysql.catalog import (Catalog, ColumnSchema, ConstraintDef,
-                              TableSchema)
+                              TableSchema, check_constraint)
 from handysql.constraints import (DUPLICATE_KEY, FAILED_PREDICATE,
                                   NULL_COLUMN, check_row, validate_existing)
 from handysql.parser import parse_standalone_predicate
 from handysql.values import NumberType, Varchar2Type
 
 
+SCHEMA = TableSchema("T", [
+    ColumnSchema("A", NumberType(5)),
+    ColumnSchema("B", NumberType(5)),
+    ColumnSchema("C", Varchar2Type(10)),
+])
+
+
 def build_catalog(*constraints):
-    schema = TableSchema("T", [
-        ColumnSchema("A", NumberType(5)),
-        ColumnSchema("B", NumberType(5)),
-        ColumnSchema("C", Varchar2Type(10)),
-    ])
-    cat = Catalog(tables={"T": schema}, constraints=list(constraints))
-    return cat
+    return Catalog(tables={"T": SCHEMA}, constraints=list(constraints))
 
 
 def pk(*columns):
@@ -31,8 +32,7 @@ def unique(name, *columns):
 
 
 def check(name, text):
-    return ConstraintDef(name, "T", "CHECK",
-                         predicate=parse_standalone_predicate(text))
+    return check_constraint(name, SCHEMA, parse_standalone_predicate(text))
 
 
 def notnull(name, column):

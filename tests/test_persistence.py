@@ -194,6 +194,59 @@ def test_empty_check_body_rejected():
            "CONSTRAINT C T CHECK \n", "bad check predicate ''")
 
 
+@pytest.mark.parametrize("literal", [
+    pytest.param("'x'", id="plain"),
+    pytest.param("'x\ny'", id="newline"),
+    pytest.param("'x\ry'", id="carriage-return"),
+    pytest.param("'a\\n\nb'", id="backslash-and-newline"),
+])
+def test_check_reloads_and_still_rejects(tmp_path, literal):
+    db = build_db("CREATE TABLE T(A NUMBER(3), B VARCHAR2(10))",
+                  "INSERT INTO T VALUES(10, 'ok')",
+                  f"ALTER TABLE T ADD CONSTRAINT CK CHECK "
+                  f"(A >= 10 AND B != {literal})")
+    text = saves(db)
+    path = tmp_path / "t.handydb"
+    persistence.save(db, str(path))
+    reloaded = persistence.load(str(path))
+    assert saves(reloaded) == text
+    violating = f"INSERT INTO T VALUES(11, {literal})"
+    before = run_sql(make_session(db), violating)
+    assert "ORA-02290" in "\n".join(before)
+    assert run_sql(make_session(reloaded), violating) == before
+    assert saves(reloaded) == text
+
+
+def test_check_backslashes_of_older_files_keep_their_meaning():
+    # Written before CHECK bodies could be escaped: the backslashes are
+    # literal characters of the string.
+    text = ("HANDYDB 1\nTABLE T\nCOL B VARCHAR2(10) NULL\n"
+            "CONSTRAINT CK T CHECK B != 'a\\nb\\\\'\nCOUNTER 5545\nROWS T\n")
+    db = loads(text)
+    assert db.catalog.constraints[0].predicate.right.value == "a\\nb\\\\"
+    assert saves(db) == text
+
+
+@pytest.mark.parametrize("body, code", [
+    ("NOPE > 1", "ORA-00904"),
+    ("U.A > 1", "ORA-00904"),
+    ("COUNT(*) > 1", "ORA-00934"),
+])
+def test_check_the_table_cannot_hold_rejected(body, code):
+    reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NULL\n"
+           f"CONSTRAINT C T CHECK {body}\nROWS T\n1\n", code)
+
+
+def test_check_bad_escape_rejected_with_its_line():
+    text = ("HANDYDB 1\nTABLE T\nCOL A VARCHAR2(5) NULL\n"
+            + r"CONSTRAINT C T CHECK \A != 'x\q'" + "\n")
+    with pytest.raises(SnapshotError) as info:
+        loads(text)
+    message = str(info.value)
+    assert message.startswith("line 4: bad check predicate ")
+    assert message.endswith(r"bad escape \q")
+
+
 def test_duplicate_pk_rows_rejected():
     db = build_db("CREATE TABLE T(A NUMBER(5))",
                   "INSERT INTO T VALUES(1)",

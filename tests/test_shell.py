@@ -244,6 +244,12 @@ def test_db_round_trip_through_cli(tmp_path):
     assert "A\n-\n7\n" in second.stdout
 
 
+def test_cli_start_writes_nothing_to_stderr():
+    proc = run_cli([], stdin_text="SELECT * FROM DUAL;\n")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_quiet_suppresses_prompts(tmp_path):
     proc = run_cli(["--quiet"], stdin_text="SELECT * FROM DUAL;\n")
     assert "SQL>" not in proc.stdout
