@@ -1,12 +1,13 @@
-"""Schemas, constraints and the system catalog.
+"""The database: tables with their rows, constraints and DDL.
 
-The catalog stores table schemas in creation order, a flat constraint
-list (also creation order, which is what USER_CONSTRAINTS reports), and
-the counter behind generated SYS_C names.  The constraint list is the
-only record of nullability: a column is NOT NULL when a NOTNULL or PK
-constraint covers it.  BUILTINS declares the read-only relations DUAL
-and USER_CONSTRAINTS, each as a schema and a function from the catalog
-to its rows.
+A Database is one record of all state: its tables in creation order,
+each holding its columns and its rows in insertion order; a flat
+constraint list (also creation order, which is what USER_CONSTRAINTS
+reports); and the counter behind generated SYS_C names.  The constraint
+list is the only record of nullability: a column is NOT NULL when a
+NOTNULL or PK constraint lists it.  BUILTINS declares the read-only
+relations DUAL and USER_CONSTRAINTS, each as a table, whose own row
+list stays empty, and a function from the database to its rows.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import constraints as checks
 from .errors import OraError, violation_error
-from .evaluate import Test, compile_predicate, predicate_nodes
+from .evaluate import Test, compile_predicate, kind_mismatch, predicate_nodes
 from .lexer import TokenKind
 from .nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, CheckBody, ColumnRef,
@@ -41,9 +42,10 @@ class ColumnSchema:
 
 
 @dataclass
-class TableSchema:
+class Table:
     name: str
     columns: list[ColumnSchema]
+    rows: list[list[SqlValue]] = field(default_factory=list)
 
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
@@ -66,38 +68,41 @@ class ConstraintDef:
     name: str
     table: str
     kind: str  # PK | UNIQUE | CHECK | NOTNULL
-    columns: tuple[str, ...] = ()
+    columns: tuple[str, ...] = ()  # a NOTNULL lists its one column
     predicate: Predicate | None = None
-    column: str | None = None  # NOTNULL target
     # A CHECK's predicate compiled over the table's column positions;
     # made by check_constraint.
     test: Test | None = field(default=None, compare=False, repr=False)
 
 
-def check_constraint(name: str, schema: TableSchema,
+def check_constraint(name: str, table: Table,
                      predicate: Predicate) -> ConstraintDef:
     """A CHECK constraint on a table, its predicate compiled once.
 
-    The predicate may name only the table's own columns (904) and no
-    aggregate (934).  Columns never move, since the subset can neither
-    add nor drop one, so the compiled test stays valid.
+    The predicate may name only the table's own columns (904), no
+    aggregate (934), and no comparison of two kinds (1722/932), which
+    would fail on every row.  Columns never move or change kind, since
+    the subset can neither add nor drop one, so the test stays valid.
     """
     aggs = predicate_nodes(predicate, AggregateCall)
     if aggs:
         raise OraError(934, aggs[0].line, aggs[0].column)
     slot_of: dict[ColumnRef, int] = {}
     for ref in predicate_nodes(predicate, ColumnRef):
-        if ((ref.qualifier is not None and ref.qualifier != schema.name)
-                or schema.find(ref.name) is None):
+        if ((ref.qualifier is not None and ref.qualifier != table.name)
+                or table.find(ref.name) is None):
             raise OraError(904, ref.line, ref.column)
-        slot_of[ref] = schema.index_of(ref.name)
-    return ConstraintDef(name, schema.name, "CHECK", predicate=predicate,
+        slot_of[ref] = table.index_of(ref.name)
+    error = kind_mismatch(predicate, lambda ref: table.find(ref.name).type)
+    if error is not None:
+        raise error
+    return ConstraintDef(name, table.name, "CHECK", predicate=predicate,
                          test=compile_predicate(predicate, slot_of))
 
 
 @dataclass
-class Catalog:
-    tables: dict[str, TableSchema] = field(default_factory=dict)
+class Database:
+    tables: dict[str, Table] = field(default_factory=dict)
     constraints: list[ConstraintDef] = field(default_factory=list)
     sys_name_counter: int = SYS_NAME_SEED
 
@@ -105,20 +110,20 @@ class Catalog:
 _TYPE_CODES = {"PK": "P", "UNIQUE": "U", "CHECK": "C", "NOTNULL": "C"}
 
 
-def user_constraints_rows(cat: Catalog) -> list[list[SqlValue]]:
+def user_constraints_rows(db: Database) -> list[list[SqlValue]]:
     """USER_CONSTRAINTS contents, one row per constraint in creation order.
 
     NOTNULL constraints report type 'C', same as CHECK, matching what
     Oracle shows for its generated not-null checks.
     """
-    return [[c.name, c.table, _TYPE_CODES[c.kind]] for c in cat.constraints]
+    return [[c.name, c.table, _TYPE_CODES[c.kind]] for c in db.constraints]
 
 
-BUILTINS: dict[str, tuple[TableSchema,
-                          Callable[[Catalog], list[list[SqlValue]]]]] = {
-    "DUAL": (TableSchema("DUAL", [ColumnSchema("DUMMY", Varchar2Type(1))]),
-             lambda cat: [["X"]]),
-    "USER_CONSTRAINTS": (TableSchema("USER_CONSTRAINTS", [
+BUILTINS: dict[str, tuple[Table,
+                          Callable[[Database], list[list[SqlValue]]]]] = {
+    "DUAL": (Table("DUAL", [ColumnSchema("DUMMY", Varchar2Type(1))]),
+             lambda db: [["X"]]),
+    "USER_CONSTRAINTS": (Table("USER_CONSTRAINTS", [
         ColumnSchema("CONSTRAINT_NAME", Varchar2Type(30)),
         ColumnSchema("TABLE_NAME", Varchar2Type(30)),
         ColumnSchema("CONSTRAINT_TYPE", Varchar2Type(1)),
@@ -126,8 +131,8 @@ BUILTINS: dict[str, tuple[TableSchema,
 }
 
 
-def create_table(cat: Catalog, stmt: CreateTable) -> str:
-    if stmt.table in cat.tables or stmt.table in BUILTINS:
+def create_table(db: Database, stmt: CreateTable) -> str:
+    if stmt.table in db.tables or stmt.table in BUILTINS:
         raise OraError(955, stmt.line, stmt.column)
     seen: set[str] = set()
     columns: list[ColumnSchema] = []
@@ -139,26 +144,26 @@ def create_table(cat: Catalog, stmt: CreateTable) -> str:
         sql_type = normalize_type(spec.keyword, spec.args,
                                   spec.line, spec.column)
         columns.append(ColumnSchema(clause.name, sql_type))
-    cat.tables[stmt.table] = TableSchema(stmt.table, columns)
+    db.tables[stmt.table] = Table(stmt.table, columns)
     return "Table created."
 
 
-def describe(cat: Catalog, name: str,
+def describe(db: Database, name: str,
              line: int = 1, column: int = 1) -> list[str]:
     """The fixed-width DESC listing: Name, Null?, Type."""
-    if name in cat.tables:
-        schema = cat.tables[name]
+    if name in db.tables:
+        table = db.tables[name]
     elif name in BUILTINS:
-        schema = BUILTINS[name][0]
+        table = BUILTINS[name][0]
     else:
         raise OraError(4043, line, column, name=name)
-    not_null = checks.not_null_sources(cat, name)
+    not_null = checks.not_null_sources(db, name)
     header = (f"{'Name':<{_DESC_NAME_WIDTH}} "
               f"{'Null?':<{_DESC_NULL_WIDTH}} Type")
     rule = " ".join("-" * w for w in
                     (_DESC_NAME_WIDTH, _DESC_NULL_WIDTH, _DESC_TYPE_WIDTH))
     lines = [header.rstrip(), rule]
-    for col in schema.columns:
+    for col in table.columns:
         null_mark = "NOT NULL" if col.name in not_null else ""
         lines.append((f"{col.name:<{_DESC_NAME_WIDTH}} "
                       f"{null_mark:<{_DESC_NULL_WIDTH}} "
@@ -166,60 +171,60 @@ def describe(cat: Catalog, name: str,
     return lines
 
 
-def next_sys_name(cat: Catalog) -> str:
+def next_sys_name(db: Database) -> str:
     """Next SYS_Cnnnnnn name, skipping any the user already claimed."""
-    taken = {c.name for c in cat.constraints}
+    taken = {c.name for c in db.constraints}
     while True:
-        name = f"SYS_C{cat.sys_name_counter:06d}"
-        cat.sys_name_counter += 1
+        name = f"SYS_C{db.sys_name_counter:06d}"
+        db.sys_name_counter += 1
         if name not in taken:
             return name
 
 
-def _stored_table(cat: Catalog, stmt) -> TableSchema:
-    schema = cat.tables.get(stmt.table)
-    if schema is None:
+def _stored_table(db: Database, stmt) -> Table:
+    table = db.tables.get(stmt.table)
+    if table is None:
         raise OraError(942, *stmt.table_pos)
-    return schema
+    return table
 
 
-def add_constraint(cat: Catalog, stmt: AlterAddConstraint,
-                   rows: list[list[SqlValue]]) -> str:
-    """ALTER TABLE ... ADD CONSTRAINT against live rows.
+def add_constraint(db: Database, stmt: AlterAddConstraint) -> str:
+    """ALTER TABLE ... ADD CONSTRAINT against the table's rows.
 
     A clause that is not PRIMARY KEY/UNIQUE/CHECK is re-read as an
     attempt to add a column; if it names an existing column the result
     is 1430, marked at the start of the clause.
     """
-    schema = _stored_table(cat, stmt)
+    table = _stored_table(db, stmt)
     if isinstance(stmt.body, FallbackBody):
         names = {t.lexeme for t in stmt.body.tokens
                  if t.kind in (TokenKind.IDENT, TokenKind.KEYWORD)}
-        if names & set(schema.column_names()):
+        if names & set(table.column_names()):
             raise OraError(1430, stmt.line, stmt.column)
         raise OraError(900, stmt.line, stmt.column)
-    if any(c.name == stmt.name for c in cat.constraints):
+    if any(c.name == stmt.name for c in db.constraints):
         raise OraError(2264, stmt.line, stmt.column)
 
     if isinstance(stmt.body, (PrimaryKeyBody, UniqueBody)):
         kind = "PK" if isinstance(stmt.body, PrimaryKeyBody) else "UNIQUE"
         if kind == "PK" and any(c.kind == "PK" and c.table == stmt.table
-                                for c in cat.constraints):
+                                for c in db.constraints):
             raise OraError(2260, stmt.line, stmt.column)
         for col in stmt.body.columns:
-            if schema.find(col) is None:
+            if table.find(col) is None:
                 raise OraError(904, stmt.line, stmt.column)
         definition = ConstraintDef(stmt.name, stmt.table, kind,
                                    columns=stmt.body.columns)
     else:
         assert isinstance(stmt.body, CheckBody)
-        definition = check_constraint(stmt.name, schema,
+        definition = check_constraint(stmt.name, table,
                                       stmt.body.predicate)
 
-    violation = checks.validate_existing(cat, stmt.table, definition, rows)
+    violation = checks.validate_existing(db, stmt.table, definition,
+                                         table.rows)
     if violation is not None:
         raise violation_error(violation)
-    cat.constraints.append(definition)
+    db.constraints.append(definition)
     return "Table altered."
 
 
@@ -234,18 +239,17 @@ def _narrowing(old: SqlType, new: SqlType) -> bool:
     return True  # kind change
 
 
-def modify_column(cat: Catalog, stmt: AlterModify,
-                  rows: list[list[SqlValue]]) -> str:
+def modify_column(db: Database, stmt: AlterModify) -> str:
     """ALTER TABLE ... MODIFY: widen a type and/or flip nullability.
 
     Only same-kind, non-narrowing type changes are allowed (1439).
-    Setting NOT NULL scans live rows first (2296) and registers a
+    Setting NOT NULL scans the table's rows first (2296) and registers a
     generated SYS_C constraint unless one already covers the column;
     dropping it removes the column's NOTNULL constraints, so a column
     in a primary key stays NOT NULL.
     """
-    schema = _stored_table(cat, stmt)
-    col = schema.find(stmt.change.name)
+    table = _stored_table(db, stmt)
+    col = table.find(stmt.change.name)
     if col is None:
         raise OraError(904, stmt.line, stmt.column)
     spec = stmt.change.type_spec
@@ -255,19 +259,19 @@ def modify_column(cat: Catalog, stmt: AlterModify,
     # Every check runs before anything changes, so a failed MODIFY
     # leaves the column exactly as it was.
     adds_not_null = (stmt.nullability == "NOT NULL" and col.name not in
-                     checks.not_null_sources(cat, stmt.table))
+                     checks.not_null_sources(db, stmt.table))
     if adds_not_null:
-        idx = schema.index_of(col.name)
-        if any(row[idx] is None for row in rows):
+        idx = table.index_of(col.name)
+        if any(row[idx] is None for row in table.rows):
             raise OraError(2296)
 
     col.type = new_type
     if adds_not_null:
-        cat.constraints.append(ConstraintDef(
-            next_sys_name(cat), stmt.table, "NOTNULL", column=col.name))
+        db.constraints.append(ConstraintDef(
+            next_sys_name(db), stmt.table, "NOTNULL", columns=(col.name,)))
     elif stmt.nullability == "NULL":
-        cat.constraints = [c for c in cat.constraints
-                           if not (c.kind == "NOTNULL"
-                                   and c.table == stmt.table
-                                   and c.column == col.name)]
+        db.constraints = [c for c in db.constraints
+                          if not (c.kind == "NOTNULL"
+                                  and c.table == stmt.table
+                                  and c.columns == (col.name,))]
     return "Table altered."

@@ -20,7 +20,7 @@ from .evaluate import FALSE
 from .values import SqlValue
 
 if TYPE_CHECKING:
-    from .catalog import Catalog, ConstraintDef, TableSchema
+    from .catalog import ConstraintDef, Database
 
 NULL_COLUMN = "null column"
 DUPLICATE_KEY = "duplicate key values"
@@ -34,51 +34,41 @@ class Violation:
     row_ordinal: int
 
 
-def _key_tuple(schema: TableSchema, columns: tuple[str, ...],
-               row: list[SqlValue]) -> tuple[SqlValue, ...] | None:
-    values = tuple(row[schema.index_of(c)] for c in columns)
-    if any(v is None for v in values):
-        return None
-    return values
-
-
-def not_null_sources(cat: Catalog, table: str) -> dict[str, ConstraintDef]:
+def not_null_sources(db: Database, table: str) -> dict[str, ConstraintDef]:
     """NOT NULL columns of a table and the constraint behind each.
 
-    A column maps to the first NOTNULL or PK constraint covering it, in
+    A column maps to the first NOTNULL or PK constraint listing it, in
     creation order; that is the constraint a NULL in it violates.
     """
     sources: dict[str, ConstraintDef] = {}
-    for c in cat.constraints:
-        if c.table != table:
-            continue
-        if c.kind == "NOTNULL":
-            sources.setdefault(c.column, c)
-        elif c.kind == "PK":
+    for c in db.constraints:
+        if c.table == table and c.kind in ("NOTNULL", "PK"):
             for column in c.columns:
                 sources.setdefault(column, c)
     return sources
 
 
-def check_row(cat: Catalog, table: str, row: list[SqlValue],
+def check_row(db: Database, table: str, row: list[SqlValue],
               existing: list[list[SqlValue]]) -> Violation | None:
     """First violation a candidate row would cause, or None."""
-    schema = cat.tables[table]
+    schema = db.tables[table]
     if None in row:
-        not_null = not_null_sources(cat, table)
+        not_null = not_null_sources(db, table)
         for col, value in zip(schema.columns, row):
             if value is None and col.name in not_null:
                 return Violation(not_null[col.name], NULL_COLUMN,
                                  len(existing))
-    for c in cat.constraints:
+    for c in db.constraints:
         if c.table != table:
             continue
         if c.kind in ("PK", "UNIQUE"):
-            key = _key_tuple(schema, c.columns, row)
-            if key is None:
+            positions = [schema.index_of(name) for name in c.columns]
+            key = [row[i] for i in positions]
+            if None in key:
                 continue
+            # A stored key holding a NULL never equals this one.
             for ordinal, other in enumerate(existing):
-                if _key_tuple(schema, c.columns, other) == key:
+                if [other[i] for i in positions] == key:
                     return Violation(c, DUPLICATE_KEY, ordinal)
         elif c.kind == "CHECK":
             if c.test(row) is FALSE:
@@ -86,32 +76,29 @@ def check_row(cat: Catalog, table: str, row: list[SqlValue],
     return None
 
 
-def validate_existing(cat: Catalog, table: str, candidate: ConstraintDef,
+def validate_existing(db: Database, table: str, candidate: ConstraintDef,
                       rows: list[list[SqlValue]]) -> Violation | None:
     """First violation of a prospective constraint over stored rows."""
-    schema = cat.tables[table]
-    if candidate.kind == "NOTNULL":
-        idx = schema.index_of(candidate.column)
-        for ordinal, row in enumerate(rows):
-            if row[idx] is None:
-                return Violation(candidate, NULL_COLUMN, ordinal)
-        return None
     if candidate.kind == "CHECK":
         test = candidate.test
         for ordinal, row in enumerate(rows):
             if test(row) is FALSE:
                 return Violation(candidate, FAILED_PREDICATE, ordinal)
         return None
-    if candidate.kind == "PK":
+    schema = db.tables[table]
+    positions = [schema.index_of(name) for name in candidate.columns]
+    if candidate.kind in ("NOTNULL", "PK"):
         for ordinal, row in enumerate(rows):
-            for col in candidate.columns:
-                if row[schema.index_of(col)] is None:
+            for i in positions:
+                if row[i] is None:
                     return Violation(candidate, NULL_COLUMN, ordinal)
+        if candidate.kind == "NOTNULL":
+            return None
     # Equal keys hash equal, Decimal('1.0') and Decimal('1') included.
     seen: set[tuple[SqlValue, ...]] = set()
     for ordinal, row in enumerate(rows):
-        key = _key_tuple(schema, candidate.columns, row)
-        if key is None:
+        key = tuple([row[i] for i in positions])
+        if None in key:
             continue
         if key in seen:
             return Violation(candidate, DUPLICATE_KEY, ordinal)

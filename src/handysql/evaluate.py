@@ -5,7 +5,8 @@ slots of a row, given the slot of every column it names: a column
 becomes operator.itemgetter(slot) and a literal a constant.  The
 closures follow Kleene logic.  A comparison reads its left operand,
 then its right; NULL on either side is UNKNOWN, and values of two
-different kinds raise 1722 or 932 at the comparison.  AND and OR
+different kinds raise 1722 or 932 at the comparison.  kind_mismatch
+finds such a comparison before any row is read.  AND and OR
 evaluate both sides, left first, so an error on the right surfaces
 even when the left already decides the result.  Aggregate calls are
 illegal inside predicates: one raises 934 at its own position when it
@@ -14,7 +15,9 @@ is evaluated, not when it is compiled.
 
 from __future__ import annotations
 
+import datetime
 from collections.abc import Callable, Mapping, Sequence
+from decimal import Decimal
 from operator import itemgetter
 from typing import TypeVar
 
@@ -23,7 +26,10 @@ from .nodes import (
     AggregateCall, BoolOp, ColumnRef, Comparison, Expr, IsNull, Literal,
     Not, Predicate,
 )
-from .values import COMPARE_OPS, SqlValue, Tristate, compare_values
+from .values import (
+    COMPARE_OPS, DateType, NumberType, SqlType, SqlValue, Tristate,
+    Varchar2Type, mismatch_code,
+)
 
 Row = Sequence[SqlValue]
 Test = Callable[[Row], Tristate]
@@ -32,6 +38,10 @@ N = TypeVar("N")
 # Looking up an Enum member costs about 0.2 us on Python 3.11, and the
 # closures below run once per row, so they read these instead.
 TRUE, FALSE, UNKNOWN = Tristate.TRUE, Tristate.FALSE, Tristate.UNKNOWN
+
+# The Python class of every stored value of a declared type.
+_VALUE_KINDS = {NumberType: Decimal, Varchar2Type: str,
+                DateType: datetime.date}
 
 
 def eval_predicate(test: Test, row: Row) -> Tristate:
@@ -112,13 +122,32 @@ def _compile_comparison(pred: Comparison,
             return UNKNOWN
         if type(a) is type(b):
             return TRUE if op(a, b) else FALSE
-        # Two values of different Python types: compare_values decides
-        # whether they are still of one kind, and raises if not.
-        try:
-            return compare_values(a, b, pred.op)
-        except OraError as err:
-            raise OraError(err.code, pred.line, pred.column) from None
+        raise OraError(mismatch_code(type(a), type(b)),
+                       pred.line, pred.column)
     return comparison
+
+
+def kind_mismatch(pred: Predicate, type_of: Callable[[ColumnRef], SqlType],
+                  ) -> OraError | None:
+    """The error of pred's first comparison of two different kinds.
+
+    type_of gives a column's declared type.  Stored values always have
+    their column's kind, so such a comparison raises on every row where
+    neither side is NULL, and no other comparison ever raises.  A NULL
+    literal, and an aggregate call, compare with anything.
+    """
+    def kind(expr: Expr) -> type | None:
+        if isinstance(expr, ColumnRef):
+            return _VALUE_KINDS[type(type_of(expr))]
+        if isinstance(expr, Literal) and expr.value is not None:
+            return type(expr.value)
+        return None
+
+    for comp in predicate_nodes(pred, Comparison):
+        kinds = {kind(comp.left), kind(comp.right)} - {None}
+        if len(kinds) > 1:
+            return OraError(mismatch_code(*kinds), comp.line, comp.column)
+    return None
 
 
 def predicate_nodes(pred: Predicate, kind: type[N]) -> list[N]:

@@ -1,4 +1,8 @@
-"""Statement execution over in-memory tables.
+"""Statement execution over the database's in-memory tables.
+
+The Database record and its DDL live in catalog, and execute hands DDL
+statements to it.  An insert appends to its table's rows only after
+every constraint has passed.
 
 A select is planned once and then run as a stream of rows.  Planning
 binds every column reference to a slot of the combined row, compiles
@@ -15,47 +19,28 @@ un-renamed.
 
 from __future__ import annotations
 
-import datetime
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from . import catalog as cat_mod
-from .catalog import Catalog, ColumnSchema, TableSchema
+from .catalog import ColumnSchema, Database, Table
 from .constraints import check_row
 from .errors import OraError, violation_error
 from .evaluate import (
-    TRUE, Test, compile_predicate, eval_predicate, predicate_nodes,
+    TRUE, Test, compile_predicate, eval_predicate, kind_mismatch,
+    predicate_nodes,
 )
 from .nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, BoolOp, ColumnRef,
-    Comparison, CreateTable, Describe, Expr, Insert, Literal, Predicate,
+    Comparison, CreateTable, Describe, Insert, Literal, Predicate,
     Select, Statement, TableRef,
 )
 from .render import render_expr
-from .values import (
-    DateType, NumberType, SqlValue, Varchar2Type, coerce_value,
-    exact_sum, round_significant,
-)
+from .values import SqlValue, coerce_value, exact_sum, round_significant
 
 Row = list[SqlValue]
-
-# The Python class of every stored value of a declared type.
-_VALUE_KINDS = {NumberType: Decimal, Varchar2Type: str,
-                DateType: datetime.date}
-
-
-@dataclass
-class StoredTable:
-    schema: TableSchema
-    rows: list[list[SqlValue]] = field(default_factory=list)
-
-
-@dataclass
-class Database:
-    catalog: Catalog = field(default_factory=Catalog)
-    tables: dict[str, StoredTable] = field(default_factory=dict)
 
 
 @dataclass
@@ -79,49 +64,37 @@ Outcome = Feedback | ResultSet | Listing
 
 def execute(db: Database, stmt: Statement) -> Outcome:
     if isinstance(stmt, CreateTable):
-        message = cat_mod.create_table(db.catalog, stmt)
-        db.tables[stmt.table] = StoredTable(db.catalog.tables[stmt.table])
-        return Feedback(message)
+        return Feedback(cat_mod.create_table(db, stmt))
     if isinstance(stmt, Describe):
-        return Listing(cat_mod.describe(db.catalog, stmt.table,
+        return Listing(cat_mod.describe(db, stmt.table,
                                         stmt.line, stmt.column))
     if isinstance(stmt, Insert):
         return execute_insert(db, stmt)
     if isinstance(stmt, Select):
         return execute_select(db, stmt)
     if isinstance(stmt, AlterAddConstraint):
-        rows = _stored_rows(db, stmt)
-        return Feedback(cat_mod.add_constraint(db.catalog, stmt, rows))
+        return Feedback(cat_mod.add_constraint(db, stmt))
     if isinstance(stmt, AlterModify):
-        rows = _stored_rows(db, stmt)
-        return Feedback(cat_mod.modify_column(db.catalog, stmt, rows))
+        return Feedback(cat_mod.modify_column(db, stmt))
     raise AssertionError(f"unknown statement {stmt!r}")
 
 
-def _stored_rows(db: Database, stmt) -> list[list[SqlValue]]:
-    stored = db.tables.get(stmt.table)
-    if stored is None:
-        raise OraError(942, *stmt.table_pos)
-    return stored.rows
-
-
 def execute_insert(db: Database, stmt: Insert) -> Feedback:
-    stored = db.tables.get(stmt.table)
-    if stored is None:
+    table = db.tables.get(stmt.table)
+    if table is None:
         raise OraError(942, stmt.line, stmt.column)
-    schema = stored.schema
 
     if stmt.columns is not None:
         targets: list[int] = []
         for name, pos in zip(stmt.columns, stmt.column_positions):
-            if schema.find(name) is None:
+            if table.find(name) is None:
                 raise OraError(904, *pos)
-            idx = schema.index_of(name)
+            idx = table.index_of(name)
             if idx in targets:
                 raise OraError(957, *pos)
             targets.append(idx)
     else:
-        targets = list(range(len(schema.columns)))
+        targets = list(range(len(table.columns)))
 
     if len(stmt.values) > len(targets):
         extra = stmt.values[len(targets)]
@@ -129,24 +102,24 @@ def execute_insert(db: Database, stmt: Insert) -> Feedback:
     if len(stmt.values) < len(targets):
         raise OraError(947, *stmt.values_end)
 
-    row: list[SqlValue] = [None] * len(schema.columns)
+    row: list[SqlValue] = [None] * len(table.columns)
     for idx, literal in zip(targets, stmt.values):
         try:
-            row[idx] = coerce_value(literal.value, schema.columns[idx].type)
+            row[idx] = coerce_value(literal.value, table.columns[idx].type)
         except OraError as err:
             raise OraError(err.code, literal.line, literal.column) from None
 
-    violation = check_row(db.catalog, stmt.table, row, stored.rows)
+    violation = check_row(db, stmt.table, row, table.rows)
     if violation is not None:
         raise violation_error(violation)
-    stored.rows.append(row)
+    table.rows.append(row)
     return Feedback("1 row created.")
 
 
 @dataclass
 class _Source:
     keys: set[str]  # alias and/or table name
-    schema: TableSchema
+    table: Table
     offset: int  # slot of its first column in the combined row
     rows: list[Row]
 
@@ -159,18 +132,18 @@ class _Scope:
         offset = 0
         for tref in tables:
             if tref.table in db.tables:
-                stored = db.tables[tref.table]
-                schema, rows = stored.schema, stored.rows
+                table = db.tables[tref.table]
+                rows = table.rows
             elif tref.table in cat_mod.BUILTINS:
-                schema, rows_of = cat_mod.BUILTINS[tref.table]
-                rows = rows_of(db.catalog)
+                table, rows_of = cat_mod.BUILTINS[tref.table]
+                rows = rows_of(db)
             else:
                 raise OraError(942, tref.line, tref.column)
             keys = {tref.table}
             if tref.alias:
                 keys.add(tref.alias)
-            self.sources.append(_Source(keys, schema, offset, rows))
-            offset += len(schema.columns)
+            self.sources.append(_Source(keys, table, offset, rows))
+            offset += len(table.columns)
 
     def resolve(self, ref: ColumnRef) -> int:
         """Flat index of a column reference in the combined row."""
@@ -178,10 +151,10 @@ class _Scope:
         for source in self.sources:
             if ref.qualifier is not None and ref.qualifier not in source.keys:
                 continue
-            col = source.schema.find(ref.name)
+            col = source.table.find(ref.name)
             if col is not None:
                 matches.append(source.offset
-                               + source.schema.index_of(ref.name))
+                               + source.table.index_of(ref.name))
         if not matches:
             raise OraError(904, ref.line, ref.column)
         if len(matches) > 1:
@@ -199,27 +172,20 @@ class _Scope:
         while slot < self.sources[i].offset:
             i -= 1
         source = self.sources[i]
-        return i, source.schema.columns[slot - source.offset]
+        return i, source.table.columns[slot - source.offset]
 
     def may_raise(self, pred: Predicate,
                   slot_of: dict[ColumnRef, int]) -> bool:
         """Whether evaluating pred on some row could raise.
 
-        Stored values always have their column's declared kind, so only
-        an aggregate (934) or a comparison of two different kinds
-        (1722/932) can; a NULL literal compares with anything.
+        Only an aggregate (934) or a comparison of two different kinds
+        (1722/932) can.
         """
         if predicate_nodes(pred, AggregateCall):
             return True
-
-        def kind(expr: Expr) -> type | None:
-            if isinstance(expr, ColumnRef):
-                column = self.column_at(slot_of[expr])[1]
-                return _VALUE_KINDS[type(column.type)]
-            return None if expr.value is None else type(expr.value)
-
-        return any(len({kind(c.left), kind(c.right)} - {None}) > 1
-                   for c in predicate_nodes(pred, Comparison))
+        return kind_mismatch(
+            pred, lambda ref: self.column_at(slot_of[ref])[1].type,
+        ) is not None
 
     def hash_keys(self, preds: list[Predicate],
                   slot_of: dict[ColumnRef, int],
@@ -256,7 +222,7 @@ def execute_select(db: Database, stmt: Select) -> ResultSet:
     matching = _matching_rows(scope, stmt.join_on, stmt.where)
 
     if stmt.items is None:
-        headers = [c.name for s in scope.sources for c in s.schema.columns]
+        headers = [c.name for s in scope.sources for c in s.table.columns]
         # Copies, so no caller ever holds a stored row.
         return ResultSet(headers, [row.copy() for row in matching])
 

@@ -16,9 +16,11 @@ backslash, tab, newline and carriage return are escaped.  Dates are
 stored ISO (YYYY-MM-DD), numbers in plain positional notation.  A CHECK
 body is its predicate's SQL text; one whose literals hold a newline or
 a carriage return is escaped as a cell is, behind a leading backslash,
-which no SQL text starts with.  The NOTNULL/NULL field of a COL line
-is derived from the constraint list when saving and, on loading, must
-match what the constraints imply.  Loading rebuilds the catalog and
+which no SQL text starts with.  A PK or UNIQUE line lists its columns
+with commas, and a NOTNULL line names its one column.  The NOTNULL/NULL
+field of a COL line is derived from the constraint list when saving
+and, on loading, must match what the constraints imply.  Loading
+rebuilds one Database record, tables holding their rows, and
 re-validates every row against its column types and all constraints,
 so a snapshot edited into an inconsistent state is rejected rather than
 trusted.
@@ -33,11 +35,10 @@ import re
 from decimal import Decimal
 
 from .catalog import (
-    ColumnSchema, ConstraintDef, TableSchema, check_constraint,
+    ColumnSchema, ConstraintDef, Database, Table, check_constraint,
 )
 from .constraints import not_null_sources, validate_existing
 from .errors import OraError
-from .executor import Database, StoredTable
 from .parser import parse_standalone_predicate
 from .render import render_predicate
 from .values import (
@@ -97,24 +98,22 @@ def _decode_check_body(detail: str) -> str:
 
 def saves(db: Database) -> str:
     lines = [_MAGIC]
-    for name, stored in db.tables.items():
+    for name, table in db.tables.items():
         lines.append(f"TABLE {name}")
-        not_null = not_null_sources(db.catalog, name)
-        for col in stored.schema.columns:
+        not_null = not_null_sources(db, name)
+        for col in table.columns:
             null = "NOTNULL" if col.name in not_null else "NULL"
             lines.append(f"COL {col.name} {type_display(col.type)} {null}")
-    for con in db.catalog.constraints:
+    for con in db.constraints:
         if con.kind == "CHECK":
             detail = _encode_check_body(render_predicate(con.predicate))
-        elif con.kind == "NOTNULL":
-            detail = con.column
         else:
             detail = ",".join(con.columns)
         lines.append(f"CONSTRAINT {con.name} {con.table} {con.kind} {detail}")
-    lines.append(f"COUNTER {db.catalog.sys_name_counter}")
-    for name, stored in db.tables.items():
+    lines.append(f"COUNTER {db.sys_name_counter}")
+    for name, table in db.tables.items():
         lines.append(f"ROWS {name}")
-        for row in stored.rows:
+        for row in table.rows:
             lines.append("\t".join(_escape_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -139,13 +138,13 @@ def save(db: Database, path: str) -> None:
         raise
 
 
-def _parse_row(schema: TableSchema, line: str) -> list[SqlValue]:
+def _parse_row(table: Table, line: str) -> list[SqlValue]:
     cells = line.split("\t")
-    if len(cells) != len(schema.columns):
+    if len(cells) != len(table.columns):
         raise SnapshotError(
-            f"row width {len(cells)} != {len(schema.columns)} columns")
+            f"row width {len(cells)} != {len(table.columns)} columns")
     row: list[SqlValue] = []
-    for cell, col in zip(cells, schema.columns):
+    for cell, col in zip(cells, table.columns):
         if cell == "\\N":
             row.append(None)
             continue
@@ -170,8 +169,8 @@ def loads(text: str) -> Database:
     if lines[0] != _MAGIC:
         raise SnapshotError("not a database snapshot")
     db = Database()
-    current: TableSchema | None = None
-    rows_for: StoredTable | None = None
+    current: Table | None = None
+    rows_for: Table | None = None
     # (position in the constraint list, name, table, body) of each CHECK,
     # compiled once every column is known.
     pending_checks: list[tuple[int, str, str, str]] = []
@@ -184,9 +183,7 @@ def loads(text: str) -> Database:
             name = line[6:]
             if name in db.tables:
                 raise SnapshotError(f"duplicate table {name}")
-            current = TableSchema(name, [])
-            db.catalog.tables[name] = current
-            db.tables[name] = StoredTable(current)
+            current = db.tables[name] = Table(name, [])
             flagged[name] = set()
         elif line.startswith("COL "):
             if current is None:
@@ -208,12 +205,14 @@ def loads(text: str) -> Database:
             if len(parts) != 5:
                 raise SnapshotError(f"line {lineno}: bad CONSTRAINT line")
             _, cname, table, kind, detail = parts
-            if table not in db.catalog.tables:
+            if table not in db.tables:
                 raise SnapshotError(
                     f"line {lineno}: constraint on unknown table {table}")
             if kind in ("PK", "UNIQUE"):
                 con = ConstraintDef(cname, table, kind,
                                     columns=tuple(detail.split(",")))
+            elif kind == "NOTNULL":
+                con = ConstraintDef(cname, table, kind, columns=(detail,))
             elif kind == "CHECK":
                 con = ConstraintDef(cname, table, "CHECK")
                 try:
@@ -222,16 +221,14 @@ def loads(text: str) -> Database:
                     raise SnapshotError(
                         f"line {lineno}: bad check predicate {detail!r}: "
                         f"{err}") from None
-                pending_checks.append((len(db.catalog.constraints), cname,
+                pending_checks.append((len(db.constraints), cname,
                                        table, body))
-            elif kind == "NOTNULL":
-                con = ConstraintDef(cname, table, "NOTNULL", column=detail)
             else:
                 raise SnapshotError(f"line {lineno}: bad kind {kind}")
-            db.catalog.constraints.append(con)
+            db.constraints.append(con)
         elif line.startswith("COUNTER "):
             try:
-                db.catalog.sys_name_counter = int(line[8:])
+                db.sys_name_counter = int(line[8:])
             except ValueError:
                 raise SnapshotError(f"line {lineno}: bad counter") from None
         elif line.startswith("ROWS "):
@@ -241,14 +238,14 @@ def loads(text: str) -> Database:
             rows_for = db.tables[name]
             current = None
         elif rows_for is not None:
-            rows_for.rows.append(_parse_row(rows_for.schema, line))
+            rows_for.rows.append(_parse_row(rows_for, line))
         else:
             raise SnapshotError(f"line {lineno}: unexpected line {line!r}")
 
     for idx, cname, table, body in pending_checks:
         try:
-            db.catalog.constraints[idx] = check_constraint(
-                cname, db.catalog.tables[table],
+            db.constraints[idx] = check_constraint(
+                cname, db.tables[table],
                 parse_standalone_predicate(body))
         except OraError as err:
             raise SnapshotError(
@@ -269,25 +266,22 @@ def load(path: str) -> Database:
 
 def _validate(db: Database, flagged: dict[str, set[str]]) -> None:
     seen: set[str] = set()
-    for con in db.catalog.constraints:
+    for con in db.constraints:
         if con.name in seen:
             raise SnapshotError(f"duplicate constraint name {con.name}")
         seen.add(con.name)
-        schema = db.catalog.tables[con.table]
-        named = con.columns if con.kind in ("PK", "UNIQUE") else (
-            (con.column,) if con.kind == "NOTNULL" else ())
-        for cname in named:
-            if schema.find(cname) is None:
+        table = db.tables[con.table]
+        for cname in con.columns:
+            if table.find(cname) is None:
                 raise SnapshotError(
                     f"constraint {con.name} names unknown column {cname}")
-        violation = validate_existing(
-            db.catalog, con.table, con, db.tables[con.table].rows)
+        violation = validate_existing(db, con.table, con, table.rows)
         if violation is not None:
             raise SnapshotError(
                 f"rows violate constraint {con.name} ({violation.reason})")
     # The COL lines' NOT NULL flags must say what the constraints imply.
     for name, marked in flagged.items():
-        enforced = set(not_null_sources(db.catalog, name))
+        enforced = set(not_null_sources(db, name))
         if enforced != marked:
             raise SnapshotError(
                 f"table {name}: NOT NULL flags {sorted(marked)} do not "

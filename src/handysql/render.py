@@ -1,20 +1,17 @@
-"""Canonical SQL text for parsed statements.
+"""Canonical SQL text for expressions and predicates.
 
-render then parse is the identity on statement trees (positions aside),
-which is what the round-trip tests lean on.  Written type spellings are
-emitted exactly as parsed; normalization is not this module's job.
+Select-list headers and snapshot CHECK lines use it.  Rendering then
+parsing a predicate gives the same tree (positions aside): parentheses
+appear exactly where precedence needs them.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 
-from .lexer import Token, TokenKind
 from .nodes import (
-    AggregateCall, AlterAddConstraint, AlterModify, BoolOp, CheckBody,
-    ColumnRef, Comparison, CreateTable, Describe, Expr, FallbackBody,
-    Insert, IsNull, Literal, Not, Predicate, PrimaryKeyBody, Select,
-    Statement, TypeSpec, UniqueBody,
+    AggregateCall, BoolOp, ColumnRef, Comparison, Expr, IsNull, Literal, Not,
+    Predicate,
 )
 from .values import format_number
 
@@ -22,35 +19,6 @@ _PREC_OR = 1
 _PREC_AND = 2
 _PREC_NOT = 3
 _PREC_ATOM = 4
-
-
-def render_statement(stmt: Statement) -> str:
-    if isinstance(stmt, CreateTable):
-        cols = ", ".join(
-            f"{c.name} {render_type(c.type_spec)}" for c in stmt.columns)
-        return f"CREATE TABLE {stmt.table} ({cols})"
-    if isinstance(stmt, Describe):
-        return f"DESC {stmt.table}"
-    if isinstance(stmt, Insert):
-        cols = f" ({', '.join(stmt.columns)})" if stmt.columns else ""
-        vals = ", ".join(_literal_text(v) for v in stmt.values)
-        return f"INSERT INTO {stmt.table}{cols} VALUES ({vals})"
-    if isinstance(stmt, Select):
-        return _render_select(stmt)
-    if isinstance(stmt, AlterAddConstraint):
-        return (f"ALTER TABLE {stmt.table} ADD CONSTRAINT {stmt.name} "
-                + _render_body(stmt.body))
-    if isinstance(stmt, AlterModify):
-        tail = f" {stmt.nullability}" if stmt.nullability else ""
-        return (f"ALTER TABLE {stmt.table} MODIFY {stmt.change.name} "
-                f"{render_type(stmt.change.type_spec)}{tail}")
-    raise AssertionError(f"unknown statement {stmt!r}")
-
-
-def render_type(spec: TypeSpec) -> str:
-    if spec.args:
-        return f"{spec.keyword}({','.join(str(a) for a in spec.args)})"
-    return spec.keyword
 
 
 def render_expr(expr: Expr) -> str:
@@ -94,51 +62,6 @@ def _render_pred(pred: Predicate, parent_prec: int) -> str:
     if prec < parent_prec:
         return f"({text})"
     return text
-
-
-def _render_select(stmt: Select) -> str:
-    if stmt.items is None:
-        items = "*"
-    else:
-        parts = []
-        for item in stmt.items:
-            text = render_expr(item.expr)
-            if item.alias is not None:
-                alias = (f'"{item.alias}"' if item.alias_quoted
-                         else item.alias)
-                text = f"{text} {alias}"
-            parts.append(text)
-        items = ", ".join(parts)
-    refs = [t.table + (f" {t.alias}" if t.alias else "") for t in stmt.tables]
-    if stmt.join_on is not None:
-        source = (f"{refs[0]} INNER JOIN {refs[1]} "
-                  f"ON {render_predicate(stmt.join_on)}")
-    else:
-        source = ", ".join(refs)
-    text = f"SELECT {items} FROM {source}"
-    if stmt.where is not None:
-        text += f" WHERE {render_predicate(stmt.where)}"
-    return text
-
-
-def _render_body(body) -> str:
-    if isinstance(body, PrimaryKeyBody):
-        return f"PRIMARY KEY ({', '.join(body.columns)})"
-    if isinstance(body, UniqueBody):
-        return f"UNIQUE ({', '.join(body.columns)})"
-    if isinstance(body, CheckBody):
-        return f"CHECK ({render_predicate(body.predicate)})"
-    if isinstance(body, FallbackBody):
-        return " ".join(_token_text(t) for t in body.tokens)
-    raise AssertionError(f"unknown constraint body {body!r}")
-
-
-def _token_text(tok: Token) -> str:
-    if tok.kind is TokenKind.STRING:
-        return "'" + tok.lexeme.replace("'", "''") + "'"
-    if tok.kind is TokenKind.QUOTED_IDENT:
-        return f'"{tok.lexeme}"'
-    return tok.lexeme
 
 
 def _literal_text(lit: Literal) -> str:

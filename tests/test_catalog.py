@@ -1,6 +1,6 @@
 from conftest import make_session, ora_code, run_sql
 
-from handysql.catalog import SYS_NAME_SEED, Catalog, next_sys_name
+from handysql.catalog import SYS_NAME_SEED, Database, next_sys_name
 from handysql.conformance import load_fixture
 from handysql.persistence import loads, saves
 
@@ -134,6 +134,24 @@ def test_check_qualifier_must_match_table(classroom):
     assert ora_code(bad) == 904
 
 
+def test_check_mixing_kinds_is_rejected_at_its_comparison(session):
+    run_sql(session, "CREATE TABLE T (N NUMBER(3), D DATE)")
+    # The table is empty, so no row could have shown the mismatch.
+    assert run_sql(
+        session, "ALTER TABLE T ADD CONSTRAINT C1\nCHECK (\nN > 'X')") == [
+        "N > 'X')", "  *", "ERROR at line 3:", "ORA-01722: invalid number",
+        ""]
+    text = "ALTER TABLE T ADD CONSTRAINT C2 CHECK (D > '01-JAN-1980')"
+    assert run_sql(session, text) == [
+        text, " " * 41 + "*", "ERROR at line 1:",
+        "ORA-00932: inconsistent datatypes", ""]
+    assert run_sql(session, "INSERT INTO T VALUES (5, '02-JAN-1990')") == [
+        "", "1 row created.", ""]
+    assert ora_code(run_sql(session, "SELECT * FROM USER_CONSTRAINTS")) \
+        is None
+    assert "C1" not in saves(session.db) and "C2" not in saves(session.db)
+
+
 def test_fallback_naming_column_is_1430(classroom):
     block = run_sql(
         classroom, "ALTER TABLE STUDENTS ADD CONSTRAINT NN DOB NOTNULL")
@@ -223,11 +241,11 @@ def test_null_modify_keeps_primary_key_not_null(classroom):
 
 
 def test_sys_names_increment_and_skip_taken():
-    cat = Catalog()
-    assert cat.sys_name_counter == SYS_NAME_SEED
-    first = next_sys_name(cat)
+    db = Database()
+    assert db.sys_name_counter == SYS_NAME_SEED
+    first = next_sys_name(db)
     assert first == "SYS_C005545"
-    assert next_sys_name(cat) == "SYS_C005546"
+    assert next_sys_name(db) == "SYS_C005546"
 
 
 def test_user_constraints_types(classroom):

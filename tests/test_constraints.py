@@ -4,15 +4,15 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import reference
-from handysql.catalog import (Catalog, ColumnSchema, ConstraintDef,
-                              TableSchema, check_constraint)
+from handysql.catalog import (ColumnSchema, ConstraintDef, Database, Table,
+                              check_constraint)
 from handysql.constraints import (DUPLICATE_KEY, FAILED_PREDICATE,
                                   NULL_COLUMN, check_row, validate_existing)
 from handysql.parser import parse_standalone_predicate
 from handysql.values import NumberType, Varchar2Type
 
 
-SCHEMA = TableSchema("T", [
+SCHEMA = Table("T", [
     ColumnSchema("A", NumberType(5)),
     ColumnSchema("B", NumberType(5)),
     ColumnSchema("C", Varchar2Type(10)),
@@ -20,7 +20,7 @@ SCHEMA = TableSchema("T", [
 
 
 def build_catalog(*constraints):
-    return Catalog(tables={"T": SCHEMA}, constraints=list(constraints))
+    return Database(tables={"T": SCHEMA}, constraints=list(constraints))
 
 
 def pk(*columns):
@@ -36,7 +36,7 @@ def check(name, text):
 
 
 def notnull(name, column):
-    return ConstraintDef(name, "T", "NOTNULL", column=column)
+    return ConstraintDef(name, "T", "NOTNULL", columns=(column,))
 
 
 def row(a=None, b=None, c=None):

@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 
 from handysql.errors import OraError
 from handysql.values import (
-    DateType, NumberType, Tristate, Varchar2Type, and3, coerce_value,
-    compare_values, exact_sum, format_date, format_number, from_bool, not3,
-    normalize_type, or3, parse_date_text, parse_type_display,
-    round_significant, type_display,
+    DateType, NumberType, Tristate, Varchar2Type, coerce_value, exact_sum,
+    format_date, format_number, normalize_type, parse_date_text,
+    parse_type_display, round_significant, type_display,
 )
 
 import reference
+from conftest import REF_TRUTH, SETTING, truth
 
 
 # --- type normalization and display ----------------------------------
@@ -134,45 +134,39 @@ def test_null_passes_any_coercion():
         assert coerce_value(None, t) is None
 
 
-# --- comparison ------------------------------------------------------
+# --- comparison and logic, through compiled predicates ---------------
 
 def test_null_comparisons_are_unknown():
-    assert compare_values(None, Decimal(1), "=") is Tristate.UNKNOWN
-    assert compare_values(None, None, "=") is Tristate.UNKNOWN
-    assert compare_values("A", None, "!=") is Tristate.UNKNOWN
+    assert truth("A = B", None, Decimal(1)) is Tristate.UNKNOWN
+    assert truth("A = B", None, None) is Tristate.UNKNOWN
+    assert truth("A != B", "A", None) is Tristate.UNKNOWN
 
 
 def test_same_kind_comparisons():
-    assert compare_values(Decimal("2"), Decimal("2.0"), "=") is Tristate.TRUE
-    assert compare_values("A", "B", "<") is Tristate.TRUE
-    assert compare_values(datetime.date(1990, 1, 1),
-                          datetime.date(1991, 1, 1), ">") is Tristate.FALSE
+    assert truth("A = B", Decimal("2"), Decimal("2.0")) is Tristate.TRUE
+    assert truth("A < B", "A", "B") is Tristate.TRUE
+    assert truth("A > B", datetime.date(1990, 1, 1),
+                 datetime.date(1991, 1, 1)) is Tristate.FALSE
 
 
 def test_text_number_comparison_is_1722():
     with pytest.raises(OraError) as exc:
-        compare_values("1", Decimal(1), "=")
+        truth("A = B", "1", Decimal(1))
     assert exc.value.code == 1722
 
 
 def test_date_mismatch_comparison_is_932():
     with pytest.raises(OraError) as exc:
-        compare_values(datetime.date(1990, 1, 1), Decimal(5), "=")
+        truth("A = B", datetime.date(1990, 1, 1), Decimal(5))
     assert exc.value.code == 932
 
 
-@given(st.sampled_from(list(Tristate)), st.sampled_from(list(Tristate)))
+@given(st.sampled_from(list(SETTING)), st.sampled_from(list(SETTING)))
 def test_kleene_tables_match_reference(a, b):
-    to_ref = {Tristate.TRUE: reference.TRUE, Tristate.FALSE: reference.FALSE,
-              Tristate.UNKNOWN: reference.UNKNOWN}
-    assert to_ref[and3(a, b)] == reference.and3(to_ref[a], to_ref[b])
-    assert to_ref[or3(a, b)] == reference.or3(to_ref[a], to_ref[b])
-    assert to_ref[not3(a)] == reference.not3(to_ref[a])
-
-
-def test_from_bool():
-    assert from_bool(True) is Tristate.TRUE
-    assert from_bool(False) is Tristate.FALSE
+    row = SETTING[a], SETTING[b]
+    assert REF_TRUTH[truth("A = 1 AND B = 1", *row)] == reference.and3(a, b)
+    assert REF_TRUTH[truth("A = 1 OR B = 1", *row)] == reference.or3(a, b)
+    assert REF_TRUTH[truth("NOT A = 1", *row)] == reference.not3(a)
 
 
 # --- exact arithmetic ------------------------------------------------

@@ -8,6 +8,7 @@ from handysql import executor
 from handysql.errors import OraError
 from handysql.executor import ResultSet, eval_aggregate, execute
 from handysql.parser import parse_text
+from handysql.persistence import saves
 
 
 def select(session, text):
@@ -240,3 +241,69 @@ def test_select_expression_header_uses_rendered_text(classroom):
     aliased = select(classroom,
                      "SELECT COUNT(S_MARKS) AS TOAL_MARKS FROM STUDENTS")
     assert aliased.headers == ["TOAL_MARKS"]
+
+
+
+ATOMIC_SETUP = (
+    "CREATE TABLE T (ID NUMBER(3), NAME VARCHAR(5), D DATE, K VARCHAR(1))",
+    "INSERT INTO T VALUES (1, 'A', '01-JAN-90', 'x')",
+    "INSERT INTO T VALUES (2, NULL, NULL, 'y')",
+    "INSERT INTO T VALUES (3, 'A', NULL, 'z')",
+    "ALTER TABLE T ADD CONSTRAINT PK_T PRIMARY KEY (ID)",
+    "ALTER TABLE T ADD CONSTRAINT CH CHECK (ID < 100)",
+    "ALTER TABLE T MODIFY K VARCHAR(1) NOT NULL",
+)
+
+
+@pytest.mark.parametrize("code, text", [
+    pytest.param(942, "INSERT INTO NOWHERE VALUES (4)", id="942-insert"),
+    pytest.param(942, "ALTER TABLE NOWHERE MODIFY A DATE", id="942-modify"),
+    pytest.param(904, "INSERT INTO T (NOPE) VALUES (4)", id="904-insert"),
+    pytest.param(904, "ALTER TABLE T ADD CONSTRAINT U UNIQUE (NOPE)",
+                 id="904-unique"),
+    pytest.param(904, "ALTER TABLE T MODIFY NOPE DATE", id="904-modify"),
+    pytest.param(955, "CREATE TABLE T (A DATE)", id="955"),
+    pytest.param(957, "INSERT INTO T (ID, ID) VALUES (4, 4)",
+                 id="957-insert"),
+    pytest.param(957, "CREATE TABLE U (A DATE, A DATE)", id="957-create"),
+    pytest.param(1727, "CREATE TABLE U (A DATE, B NUMBER(39))", id="1727"),
+    pytest.param(913, "INSERT INTO T VALUES (4, 'B', NULL, 'w', 4)",
+                 id="913"),
+    pytest.param(947, "INSERT INTO T VALUES (4)", id="947"),
+    pytest.param(1400, "INSERT INTO T VALUES (NULL, 'B', NULL, 'w')",
+                 id="1400-key"),
+    pytest.param(1400, "INSERT INTO T VALUES (4, 'B', NULL, NULL)",
+                 id="1400-notnull"),
+    pytest.param(1, "INSERT INTO T VALUES (1, 'B', NULL, 'w')",
+                 id="1-insert"),
+    pytest.param(1, "ALTER TABLE T ADD CONSTRAINT U UNIQUE (NAME)",
+                 id="1-unique"),
+    pytest.param(2290, "INSERT INTO T VALUES (200, 'B', NULL, 'w')",
+                 id="2290-insert"),
+    pytest.param(2290, "ALTER TABLE T ADD CONSTRAINT C2 CHECK (ID > 1)",
+                 id="2290-check"),
+    pytest.param(1438, "INSERT INTO T VALUES (1000, 'B', NULL, 'w')",
+                 id="1438"),
+    pytest.param(12899, "INSERT INTO T VALUES (4, 'TOOLONG', NULL, 'w')",
+                 id="12899"),
+    pytest.param(1858, "INSERT INTO T VALUES (4, 'B', '31-FEB-90', 'w')",
+                 id="1858"),
+    pytest.param(1722, "ALTER TABLE T ADD CONSTRAINT C2 CHECK (ID > 'X')",
+                 id="1722-check"),
+    pytest.param(2260, "ALTER TABLE T ADD CONSTRAINT PK2 PRIMARY KEY (NAME)",
+                 id="2260"),
+    pytest.param(2264, "ALTER TABLE T ADD CONSTRAINT CH UNIQUE (NAME)",
+                 id="2264"),
+    pytest.param(1430, "ALTER TABLE T ADD CONSTRAINT X NAME VARCHAR(5)",
+                 id="1430"),
+    pytest.param(2296, "ALTER TABLE T MODIFY NAME VARCHAR(9) NOT NULL",
+                 id="2296"),
+    pytest.param(1439, "ALTER TABLE T MODIFY NAME VARCHAR(2) NOT NULL",
+                 id="1439"),
+])
+def test_failed_statement_leaves_database_unchanged(session, code, text):
+    for setup in ATOMIC_SETUP:
+        assert ora_code(run_sql(session, setup)) is None, setup
+    before = saves(session.db)
+    assert ora_code(run_sql(session, text)) == code
+    assert saves(session.db) == before

