@@ -243,9 +243,9 @@ def modify_column(db: Database, stmt: AlterModify) -> str:
     """ALTER TABLE ... MODIFY: widen a type and/or flip nullability.
 
     Only same-kind, non-narrowing type changes are allowed (1439).
-    Setting NOT NULL scans the table's rows first (2296) and registers a
-    generated SYS_C constraint unless one already covers the column;
-    dropping it removes the column's NOTNULL constraints, so a column
+    Setting NOT NULL, unless a constraint already covers the column,
+    validates the rows against a new NOTNULL constraint (2296) and
+    registers it under a generated SYS_C name; dropping it removes the column's NOTNULL constraints, so a column
     in a primary key stays NOT NULL.
     """
     table = _stored_table(db, stmt)
@@ -258,17 +258,21 @@ def modify_column(db: Database, stmt: AlterModify) -> str:
         raise OraError(1439, spec.line, spec.column)
     # Every check runs before anything changes, so a failed MODIFY
     # leaves the column exactly as it was.
-    adds_not_null = (stmt.nullability == "NOT NULL" and col.name not in
-                     checks.not_null_sources(db, stmt.table))
-    if adds_not_null:
-        idx = table.index_of(col.name)
-        if any(row[idx] is None for row in table.rows):
+    not_null = None
+    if (stmt.nullability == "NOT NULL"
+            and col.name not in checks.not_null_sources(db, stmt.table)):
+        # Named only once the rows pass, so that a failed MODIFY leaves
+        # the SYS_C counter as it was.
+        not_null = ConstraintDef("", stmt.table, "NOTNULL",
+                                 columns=(col.name,))
+        if checks.validate_existing(db, stmt.table, not_null,
+                                    table.rows) is not None:
             raise OraError(2296)
 
     col.type = new_type
-    if adds_not_null:
-        db.constraints.append(ConstraintDef(
-            next_sys_name(db), stmt.table, "NOTNULL", columns=(col.name,)))
+    if not_null is not None:
+        not_null.name = next_sys_name(db)
+        db.constraints.append(not_null)
     elif stmt.nullability == "NULL":
         db.constraints = [c for c in db.constraints
                           if not (c.kind == "NOTNULL"

@@ -38,7 +38,7 @@ from .nodes import (
     Select, Statement, TableRef,
 )
 from .render import render_expr
-from .values import SqlValue, coerce_value, exact_sum, round_significant
+from .values import SqlValue, codec, exact_sum, round_significant
 
 Row = list[SqlValue]
 
@@ -105,7 +105,7 @@ def execute_insert(db: Database, stmt: Insert) -> Feedback:
     row: list[SqlValue] = [None] * len(table.columns)
     for idx, literal in zip(targets, stmt.values):
         try:
-            row[idx] = coerce_value(literal.value, table.columns[idx].type)
+            row[idx] = codec(table.columns[idx].type).coerce(literal.value)
         except OraError as err:
             raise OraError(err.code, literal.line, literal.column) from None
 

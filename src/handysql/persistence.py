@@ -11,16 +11,19 @@ Format, line oriented:
     ROWS STUDENTS
     1<TAB>ROHI<TAB>...
 
-Lines end with "\\n" only.  Row cells are tab separated; NULL is \\N;
-backslash, tab, newline and carriage return are escaped.  Dates are
-stored ISO (YYYY-MM-DD), numbers in plain positional notation.  A CHECK
-body is its predicate's SQL text; one whose literals hold a newline or
-a carriage return is escaped as a cell is, behind a leading backslash,
-which no SQL text starts with.  A PK or UNIQUE line lists its columns
-with commas, and a NOTNULL line names its one column.  The NOTNULL/NULL
-field of a COL line is derived from the constraint list when saving
-and, on loading, must match what the constraints imply.  Loading
-rebuilds one Database record, tables holding their rows, and
+Lines end with "\\n" only, and blank lines are skipped.  ROWS sections
+come last: every line after a ROWS line, up to the next ROWS line, is a
+row of its table.  Row cells are tab separated; NULL is \\N; backslash,
+tab, newline and carriage return are escaped, and a lone backslash ends
+no cell.  Each column's codec (values.codec) writes and reads its
+cells: dates as YYYY-MM-DD, numbers in plain positional notation.  A
+CHECK body is its predicate's SQL text; one whose literals hold a
+newline or a carriage return is escaped as a cell is, behind a leading
+backslash, which no SQL text starts with.  A PK or UNIQUE line lists
+its columns with commas, and a NOTNULL line names its one column.  The
+NOTNULL/NULL field of a COL line is derived from the constraint list
+when saving and, on loading, must match what the constraints imply.
+Loading rebuilds one Database record, tables holding their rows, and
 re-validates every row against its column types and all constraints,
 so a snapshot edited into an inconsistent state is rejected rather than
 trusted.
@@ -29,10 +32,9 @@ trusted.
 from __future__ import annotations
 
 import contextlib
-import datetime
 import os
 import re
-from decimal import Decimal
+from collections.abc import Callable
 
 from .catalog import (
     ColumnSchema, ConstraintDef, Database, Table, check_constraint,
@@ -42,32 +44,21 @@ from .errors import OraError
 from .parser import parse_standalone_predicate
 from .render import render_predicate
 from .values import (
-    SqlValue, Varchar2Type, DateType, coerce_value, format_number,
-    parse_type_display, type_display,
+    SqlValue, codec, escape_text, parse_type_display, type_display,
 )
 
 _MAGIC = "HANDYDB 1"
+_NULL = "\\N"
 
 
 class SnapshotError(Exception):
     pass
 
 
-def _escape_cell(value: SqlValue) -> str:
-    if value is None:
-        return "\\N"
-    if isinstance(value, Decimal):
-        return format_number(value)
-    if isinstance(value, datetime.date):
-        return value.isoformat()
-    return (value.replace("\\", "\\\\")
-                .replace("\t", "\\t")
-                .replace("\n", "\\n")
-                .replace("\r", "\\r"))
-
-
+# Undoes values.escape_text.  A lone backslash at the end of a cell is
+# a bad escape too.
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
-_ESCAPE_SEQ = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPE_SEQ = re.compile(r"\\(.?)", re.DOTALL)
 
 
 def _unescape_one(match: re.Match[str]) -> str:
@@ -86,7 +77,7 @@ def _encode_check_body(body: str) -> str:
     # an earlier version wrote, backslashes in literals included, keeps
     # its meaning.
     if "\n" in body or "\r" in body:
-        return "\\" + _escape_cell(body)
+        return "\\" + escape_text(body)
     return body
 
 
@@ -113,8 +104,10 @@ def saves(db: Database) -> str:
     lines.append(f"COUNTER {db.sys_name_counter}")
     for name, table in db.tables.items():
         lines.append(f"ROWS {name}")
-        for row in table.rows:
-            lines.append("\t".join(_escape_cell(v) for v in row))
+        encoders = [codec(col.type).encode for col in table.columns]
+        cells = [[_NULL if v is None else encode(v) for v in column]
+                 for encode, column in zip(encoders, zip(*table.rows))]
+        lines.extend(map("\t".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -138,30 +131,34 @@ def save(db: Database, path: str) -> None:
         raise
 
 
-def _parse_row(table: Table, line: str) -> list[SqlValue]:
-    cells = line.split("\t")
-    if len(cells) != len(table.columns):
-        raise SnapshotError(
-            f"row width {len(cells)} != {len(table.columns)} columns")
-    row: list[SqlValue] = []
-    for cell, col in zip(cells, table.columns):
-        if cell == "\\N":
-            row.append(None)
-            continue
-        text = _unescape_cell(cell)
-        ctype = col.type
+def _row_decoder(table: Table) -> Callable[[str], list[SqlValue]]:
+    """A function reading one ROWS line of a table into a row."""
+    decoders = [codec(col.type).decode for col in table.columns]
+    width = len(decoders)
+
+    def decode_row(line: str) -> list[SqlValue]:
+        cells = line.split("\t")
+        if len(cells) != width:
+            raise SnapshotError(f"row width {len(cells)} != {width} columns")
+        row: list[SqlValue] = []
+        append = row.append
         try:
-            if isinstance(ctype, Varchar2Type):
-                value = coerce_value(text, ctype)
-            elif isinstance(ctype, DateType):
-                value = datetime.date.fromisoformat(text)
-            else:
-                value = coerce_value(Decimal(text), ctype)
+            for cell, decode in zip(cells, decoders):
+                if "\\" in cell:
+                    if cell == _NULL:
+                        append(None)
+                        continue
+                    cell = _unescape_cell(cell)
+                append(decode(cell))
         except (OraError, ValueError, ArithmeticError) as err:
+            # The cell that failed is the one after those decoded.
+            text = _unescape_cell(cells[len(row)])
+            name = table.columns[len(row)].name
             raise SnapshotError(
-                f"bad value {text!r} for column {col.name}: {err}") from None
-        row.append(value)
-    return row
+                f"bad value {text!r} for column {name}: {err}") from None
+        return row
+
+    return decode_row
 
 
 def loads(text: str) -> Database:
@@ -170,7 +167,9 @@ def loads(text: str) -> Database:
         raise SnapshotError("not a database snapshot")
     db = Database()
     current: Table | None = None
-    rows_for: Table | None = None
+    # The rows of the current ROWS section and their decoder.
+    rows: list[list[SqlValue]] | None = None
+    decode_row: Callable[[str], list[SqlValue]] | None = None
     # (position in the constraint list, name, table, body) of each CHECK,
     # compiled once every column is known.
     pending_checks: list[tuple[int, str, str, str]] = []
@@ -178,8 +177,9 @@ def loads(text: str) -> Database:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        if line.startswith("TABLE "):
-            rows_for = None
+        if rows is not None and not line.startswith("ROWS "):
+            rows.append(decode_row(line))
+        elif line.startswith("TABLE "):
             name = line[6:]
             if name in db.tables:
                 raise SnapshotError(f"duplicate table {name}")
@@ -235,10 +235,8 @@ def loads(text: str) -> Database:
             name = line[5:]
             if name not in db.tables:
                 raise SnapshotError(f"line {lineno}: rows for unknown {name}")
-            rows_for = db.tables[name]
-            current = None
-        elif rows_for is not None:
-            rows_for.rows.append(_parse_row(rows_for, line))
+            rows = db.tables[name].rows
+            decode_row = _row_decoder(db.tables[name])
         else:
             raise SnapshotError(f"line {lineno}: unexpected line {line!r}")
 

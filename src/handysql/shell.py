@@ -4,7 +4,9 @@ The prompt is "SQL> "; continuation lines are numbered "  2  ", "  3  "
 and numbering restarts for every statement.  A statement ends with a
 line whose last character is ";" or with a lone "/" line.  When input
 is not a terminal every consumed line is echoed after its prompt, so a
-piped session writes the exact transcript a script run would.
+piped session writes the exact transcript a script run would.  A
+result set is drawn column by column in each column's display, numbers
+right-aligned.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from decimal import Decimal
 from typing import TextIO
 
 from . import persistence
 from .errors import OraError, render_error
 from .executor import Database, Feedback, Listing, ResultSet, execute
 from .parser import parse_text
-from .values import format_date, format_number
+from .values import value_codec
 
 PROMPT = "SQL> "
 
@@ -169,29 +170,29 @@ def substitute_variables(
 def render_result_set(rs: ResultSet) -> list[str]:
     if not rs.rows:
         return ["no rows selected"]
-    texts = [[_cell_text(value) for value in row] for row in rs.rows]
-    widths = [max(len(header), *(len(row[i]) for row in texts))
-              for i, header in enumerate(rs.headers)]
+    # Column by column: a result column holds one kind of value, so its
+    # first non-NULL value gives the display of all.
+    widths: list[int] = []
+    columns: list[list[str]] = []
+    for header, values in zip(rs.headers, zip(*rs.rows)):
+        display, pad = str, str.ljust  # an all-NULL column shows only ""
+        for value in values:
+            if value is not None:
+                kind = value_codec(value)
+                display = kind.display
+                if kind.right_aligned:
+                    pad = str.rjust
+                break
+        texts = ["" if v is None else display(v) for v in values]
+        width = max(len(header), *map(len, texts))
+        widths.append(width)
+        columns.append([pad(text, width) for text in texts])
     lines = [" ".join(h.ljust(w)
                       for h, w in zip(rs.headers, widths)).rstrip()]
     lines.append(" ".join("-" * w for w in widths))
-    for row, cells in zip(rs.rows, texts):
-        lines.append(" ".join(
-            text.rjust(width) if isinstance(value, Decimal)
-            else text.ljust(width)
-            for value, text, width in zip(row, cells, widths)).rstrip())
+    lines.extend(" ".join(cells).rstrip() for cells in zip(*columns))
     lines.append("")
     return lines
-
-
-def _cell_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Decimal):
-        return format_number(value)
-    if isinstance(value, str):
-        return value
-    return format_date(value)
 
 
 def _outcome_lines(outcome) -> list[str]:

@@ -1,9 +1,15 @@
-"""Scalar types, runtime values, truth values and date handling.
+"""Scalar types, runtime values, truth values, dates and column codecs.
 
 Numbers are exact decimals (never binary floats), strings compare
 case-sensitively, dates are calendar dates, and NULL is Python None.
 NULL never equals anything, including itself; comparisons involving it
 yield UNKNOWN.
+
+A column's type fixes the kind of every value it holds, so each type
+has one Codec, built on first use: INSERT coercion, the snapshot cell
+in both directions, and the result-set text.  Callers look it up by the
+column's current type, so a MODIFY that widens the type needs nothing
+else.
 """
 
 from __future__ import annotations
@@ -11,10 +17,14 @@ from __future__ import annotations
 import datetime
 import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
+from decimal import (
+    ROUND_HALF_UP, Context, Decimal, InvalidOperation, localcontext,
+)
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .errors import OraError
 
@@ -25,6 +35,7 @@ MAX_PRECISION = 38
 # Plenty for exact sums of 38-significant-digit values at any scale the
 # grammar can declare.
 _EXACT_PRECISION = 240
+_EXACT = Context(prec=_EXACT_PRECISION, rounding=ROUND_HALF_UP)
 
 
 class Tristate(Enum):
@@ -150,46 +161,132 @@ def format_number(value: Decimal) -> str:
     return format(value, "f")
 
 
-def coerce_value(value: SqlValue, target: SqlType) -> SqlValue:
-    """Fit a literal value into a column type, or raise.
+@dataclass(frozen=True, slots=True)
+class Codec:
+    """How the values of one column type enter and leave the engine.
+
+    coerce fits an INSERT literal, or NULL, into the type, or raises
+    its ORA error.  decode reads the text of a non-NULL snapshot cell,
+    its escapes already undone, or raises OraError, ValueError or
+    ArithmeticError.  encode writes a non-NULL value as its snapshot
+    cell, escapes included.  display gives a non-NULL value's text in a
+    result set, where right_aligned columns are padded on the left.
+    """
+    coerce: Callable[[SqlValue], SqlValue]
+    decode: Callable[[str], SqlValue]
+    encode: Callable[[SqlValue], str]
+    display: Callable[[SqlValue], str]
+    right_aligned: bool
+
+
+@cache
+def codec(sql_type: SqlType) -> Codec:
+    """The codec of a column type, built once per distinct type.
 
     Numbers round fractional digits beyond the scale half-up and must
-    fit the precision afterwards (1438).  Strings must fit the declared
-    length (12899) and parse as dates for DATE columns (1858).  Text is
-    never implicitly accepted as a number (1722); other cross-kind
-    moves are 932.
+    fit the precision afterwards (1438); every zero becomes an unsigned
+    one, since Oracle has no negative zero.  Strings must fit the
+    declared length (12899) and parse as dates for DATE columns (1858).
+    Text is never implicitly accepted as a number (1722); other
+    cross-kind moves are 932.  Snapshot numbers are plain positional
+    text, dates YYYY-MM-DD and nothing else, and text escapes
+    backslash, tab, newline and carriage return.
     """
-    if value is None:
-        return None
-    if isinstance(target, NumberType):
+    if isinstance(sql_type, NumberType):
+        return _number_codec(sql_type)
+    if isinstance(sql_type, Varchar2Type):
+        return _text_codec(sql_type)
+    return _DATE_CODEC
+
+
+def value_codec(value: SqlValue) -> Codec:
+    """A codec of a non-NULL value's kind, for its display and alignment.
+
+    Both depend on the kind alone, never on a type's size.
+    """
+    return _KIND_CODECS[value.__class__]
+
+
+def _number_codec(t: NumberType) -> Codec:
+    exponent = Decimal(1).scaleb(-t.scale)
+    bound = Decimal(1).scaleb(t.precision - t.scale)
+
+    def fit(value: Decimal) -> Decimal:
+        try:
+            rounded = value.quantize(exponent, context=_EXACT)
+        except InvalidOperation:
+            # More digits than even the working precision holds.
+            raise OraError(1438) from None
+        if rounded.copy_abs() >= bound:
+            raise OraError(1438)
+        return rounded if rounded else rounded.copy_abs()
+
+    def coerce(value: SqlValue) -> SqlValue:
         if isinstance(value, Decimal):
-            with localcontext() as ctx:
-                ctx.prec = _EXACT_PRECISION
-                try:
-                    rounded = value.quantize(
-                        Decimal(1).scaleb(-target.scale),
-                        rounding=ROUND_HALF_UP)
-                except InvalidOperation:
-                    # More digits than even the working precision holds.
-                    raise OraError(1438) from None
-                if abs(rounded) >= Decimal(1).scaleb(
-                        target.precision - target.scale):
-                    raise OraError(1438)
-            return rounded
+            return fit(value)
+        if value is None:
+            return None
+        raise OraError(1722 if isinstance(value, str) else 932)
+
+    return Codec(coerce, lambda text: fit(Decimal(text)), format_number,
+                 _number_text, True)
+
+
+def _text_codec(t: Varchar2Type) -> Codec:
+    max_len = t.max_len
+
+    def fit(text: str) -> str:
+        if len(text) > max_len:
+            raise OraError(12899)
+        return text
+
+    def coerce(value: SqlValue) -> SqlValue:
         if isinstance(value, str):
-            raise OraError(1722)
+            return fit(value)
+        if value is None:
+            return None
         raise OraError(932)
-    if isinstance(target, Varchar2Type):
-        if isinstance(value, str):
-            if len(value) > target.max_len:
-                raise OraError(12899)
-            return value
-        raise OraError(932)
+
+    return Codec(coerce, fit, escape_text, str, False)
+
+
+def _coerce_date(value: SqlValue) -> SqlValue:
     if isinstance(value, datetime.date):
         return value
     if isinstance(value, str):
         return parse_date_text(value)
+    if value is None:
+        return None
     raise OraError(932)
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _decode_date(text: str) -> datetime.date:
+    # date.fromisoformat reads more forms on some Python versions than
+    # on others, so only the one saves writes gets that far.
+    if _ISO_DATE.fullmatch(text) is None:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return datetime.date.fromisoformat(text)
+
+
+def _number_text(value: Decimal) -> str:
+    return format(value if value else value.copy_abs(), "f")
+
+
+def escape_text(text: str) -> str:
+    """A text's snapshot cell; persistence undoes the escapes."""
+    return (text.replace("\\", "\\\\")
+                .replace("\t", "\\t")
+                .replace("\n", "\\n")
+                .replace("\r", "\\r"))
+
+
+_DATE_CODEC = Codec(_coerce_date, _decode_date, datetime.date.isoformat,
+                    format_date, False)
+_KIND_CODECS = {Decimal: codec(NumberType()), str: codec(Varchar2Type(1)),
+                datetime.date: _DATE_CODEC}
 
 
 COMPARE_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,

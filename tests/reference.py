@@ -16,15 +16,18 @@ with values being None, int, Fraction, str, or datetime.date.
 
 The SELECT oracle, the tree-walking predicate evaluator and the
 statement renderer are the exceptions to the tuple shapes: they work on
-parsed statement trees.
+parsed statement trees.  So are the per-value codec oracles, which ask
+every value its kind, as the engine did before it built one codec per
+column type: they work on the engine's values and types.
 """
 
 from __future__ import annotations
 
 import datetime
 import random
+import re
 import string
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
 from handysql.errors import OraError
@@ -34,7 +37,10 @@ from handysql.nodes import (AggregateCall, AlterAddConstraint, AlterModify,
                             CreateTable, Describe, FallbackBody, Insert,
                             IsNull, Literal, Not, PrimaryKeyBody, Select,
                             UniqueBody)
+from handysql.persistence import SnapshotError
 from handysql.render import render_expr, render_predicate
+from handysql.values import (DateType, NumberType, Varchar2Type, format_date,
+                             format_number, parse_date_text)
 
 TRUE, FALSE, UNKNOWN = "T", "F", "U"
 
@@ -592,6 +598,135 @@ def reference_tokenize(text: str) -> list[tuple]:
             raise OraError(900, line, column)
         tokens.append((kind, lexeme, line, column))
     return tokens
+
+
+# --- values, one kind question per value ----------------------------
+
+def coerce_value(value, target):
+    """Fit a literal value into a column type, or raise.
+
+    Numbers round fractional digits beyond the scale half-up and must
+    fit the precision afterwards (1438).  Strings must fit the declared
+    length (12899) and parse as dates for DATE columns (1858).  Text is
+    never implicitly accepted as a number (1722); other cross-kind
+    moves are 932.
+    """
+    if value is None:
+        return None
+    if isinstance(target, NumberType):
+        if isinstance(value, Decimal):
+            with localcontext() as ctx:
+                ctx.prec = 240
+                try:
+                    rounded = value.quantize(
+                        Decimal(1).scaleb(-target.scale),
+                        rounding=ROUND_HALF_UP)
+                except InvalidOperation:
+                    raise OraError(1438) from None
+                if abs(rounded) >= Decimal(1).scaleb(
+                        target.precision - target.scale):
+                    raise OraError(1438)
+            return rounded
+        if isinstance(value, str):
+            raise OraError(1722)
+        raise OraError(932)
+    if isinstance(target, Varchar2Type):
+        if isinstance(value, str):
+            if len(value) > target.max_len:
+                raise OraError(12899)
+            return value
+        raise OraError(932)
+    if isinstance(value, datetime.date):
+        return value
+    if isinstance(value, str):
+        return parse_date_text(value)
+    raise OraError(932)
+
+
+def escape_cell(value) -> str:
+    """A value's snapshot cell."""
+    if value is None:
+        return "\\N"
+    if isinstance(value, Decimal):
+        return format_number(value)
+    if isinstance(value, datetime.date):
+        return value.isoformat()
+    return (value.replace("\\", "\\\\")
+                .replace("\t", "\\t")
+                .replace("\n", "\\n")
+                .replace("\r", "\\r"))
+
+
+_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_SEQ = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _unescape_one(match) -> str:
+    try:
+        return _UNESCAPE[match.group(1)]
+    except KeyError:
+        raise SnapshotError(f"bad escape \\{match.group(1)}") from None
+
+
+def unescape_cell(text: str) -> str:
+    """Undo escape_cell's escapes; a lone final backslash stays."""
+    return _ESCAPE_SEQ.sub(_unescape_one, text)
+
+
+def parse_row(columns: list, line: str) -> list:
+    """One snapshot ROWS line of a table with these ColumnSchemas."""
+    cells = line.split("\t")
+    if len(cells) != len(columns):
+        raise SnapshotError(
+            f"row width {len(cells)} != {len(columns)} columns")
+    row = []
+    for cell, col in zip(cells, columns):
+        if cell == "\\N":
+            row.append(None)
+            continue
+        text = unescape_cell(cell)
+        ctype = col.type
+        try:
+            if isinstance(ctype, Varchar2Type):
+                value = coerce_value(text, ctype)
+            elif isinstance(ctype, DateType):
+                value = datetime.date.fromisoformat(text)
+            else:
+                value = coerce_value(Decimal(text), ctype)
+        except (OraError, ValueError, ArithmeticError) as err:
+            raise SnapshotError(
+                f"bad value {text!r} for column {col.name}: {err}") from None
+        row.append(value)
+    return row
+
+
+def cell_text(value) -> str:
+    """A value's text in a result set."""
+    if value is None:
+        return ""
+    if isinstance(value, Decimal):
+        return format_number(value)
+    if isinstance(value, str):
+        return value
+    return format_date(value)
+
+
+def render_result_set(headers: list[str], rows: list[list]) -> list[str]:
+    """A result set's lines; number cells are right-aligned."""
+    if not rows:
+        return ["no rows selected"]
+    texts = [[cell_text(value) for value in row] for row in rows]
+    widths = [max(len(header), *(len(row[i]) for row in texts))
+              for i, header in enumerate(headers)]
+    lines = [" ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+    lines.append(" ".join("-" * w for w in widths))
+    for row, cells in zip(rows, texts):
+        lines.append(" ".join(
+            text.rjust(width) if isinstance(value, Decimal)
+            else text.ljust(width)
+            for value, text, width in zip(row, cells, widths)).rstrip())
+    lines.append("")
+    return lines
 
 
 # --- generators ------------------------------------------------------

@@ -1,0 +1,286 @@
+"""Column codecs against the per-value oracles in reference.py.
+
+The codecs must give what the oracles give, value for value and error
+for error, except in three places where the oracles are wrong:
+  - a zero is never negative, after INSERT, after loading, or shown;
+  - a snapshot cell ending in a lone backslash is a bad escape;
+  - a snapshot DATE cell reads only as YYYY-MM-DD, the form saves
+    writes, whatever date.fromisoformat accepts on this Python.
+"""
+
+import datetime
+import re
+from decimal import Decimal
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference
+from conftest import make_session, run_sql
+from handysql import catalog, constraints
+from handysql.catalog import ColumnSchema, Table
+from handysql.errors import OraError
+from handysql.executor import ResultSet
+from handysql.persistence import SnapshotError, _row_decoder, loads, saves
+from handysql.shell import render_result_set
+from handysql.values import (
+    MAX_PRECISION, DateType, NumberType, Varchar2Type, codec, value_codec,
+)
+
+NUMBER_TYPES = st.one_of(
+    st.builds(NumberType, st.integers(1, MAX_PRECISION), st.integers(0, 12)),
+    st.just(NumberType(bare=True)))
+TEXT_TYPES = st.builds(Varchar2Type, st.integers(1, 6))
+TYPES = st.one_of(NUMBER_TYPES, TEXT_TYPES, st.just(DateType()))
+
+
+def decimal_of(n: int, exponent: int) -> Decimal:
+    """n * 10**exponent, exactly, whatever the context's precision."""
+    return Decimal((int(n < 0), tuple(map(int, str(abs(n)))), exponent))
+
+
+@st.composite
+def numbers(draw, t: NumberType | None = None) -> Decimal:
+    """Decimals near a type's precision and scale edges, or anywhere."""
+    if t is None or draw(st.booleans()):
+        return draw(st.one_of(
+            st.decimals(allow_nan=False, allow_infinity=False),
+            st.builds(decimal_of, st.integers(-10 ** 45, 10 ** 45),
+                      st.integers(-300, 300))))
+    p = t.precision
+    digits = draw(st.one_of(st.integers(p - 1, p + 1), st.integers(0, p)))
+    n = max(0, 10 ** digits + draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        n = n * 10 + 5  # a half at the first digit past the scale
+    exponent = -t.scale - draw(st.integers(-2, 3))
+    sign = draw(st.sampled_from([1, -1]))
+    return decimal_of(sign * n, exponent)
+
+
+DATE_TEXTS = st.one_of(
+    st.sampled_from(["29-AUG-90", "31-FEB-20", "01-jan-2020", " 1-JAN-90 ",
+                     "29-FEB-00", "29-FEB-1900", "1-JAN-1", "AUG-90"]),
+    st.builds("{:02d}-{}-{}".format, st.integers(0, 32),
+              st.sampled_from(["JAN", "feb", "DEC", "XYZ"]),
+              st.sampled_from(["49", "50", "1999", "0001"])))
+# Text with the characters snapshot cells escape, and others.
+TEXTS = st.one_of(st.text(max_size=8), st.text("\\\t\n\rNa", max_size=6),
+                  DATE_TEXTS)
+DATES = st.dates()
+
+
+@st.composite
+def typed_values(draw):
+    """A column type and a literal of any kind to coerce into it."""
+    t = draw(TYPES)
+    value = draw(st.one_of(
+        st.none(), TEXTS, DATES,
+        numbers(t if isinstance(t, NumberType) else None)))
+    return t, value
+
+
+def outcome(fn, *args):
+    """What a call gives, with a number's exact digits and scale."""
+    try:
+        value = fn(*args)
+    except OraError as err:
+        return ("ORA", err.code)
+    except SnapshotError as err:
+        return ("snapshot", str(err))
+    if isinstance(value, list):
+        return [(type(v), str(v)) for v in value]
+    return (type(value), str(value))
+
+
+def unsigned(result):
+    """The outcome with every zero's sign dropped."""
+    if isinstance(result, list):
+        return [unsigned(cell) for cell in result]
+    if result[0] is Decimal and not Decimal(result[1]):
+        return (Decimal, result[1].lstrip("-"))
+    return result
+
+
+@settings(max_examples=400)
+@given(typed_values())
+def test_coerce_matches_the_oracle(case):
+    t, value = case
+    expected = unsigned(outcome(reference.coerce_value, value, t))
+    assert outcome(codec(t).coerce, value) == expected
+
+
+@given(TYPES)
+def test_codec_is_built_once_per_type(t):
+    assert codec(t) is codec(type(t)(**vars(t)))
+
+
+# --- snapshot cells ---------------------------------------------------
+
+SPECIAL_CELLS = [
+    "NaN", "-NaN", "sNaN", "Infinity", "-Infinity", "1_0", " 1 ", "\u0663",
+    "1E+2", "1e-3", "-0", "-0.00", "+1", "", "nope", "\\N", "x\\N",
+    "\\\\", "\\t", "\\n", "\\r", "\\x", "a\\", "a\\\\", "a\\\\\\", "\\",
+    "2020-01-01", "2020-02-30", "0000-01-01", "2020-13-01", "20200101",
+    "2020-W01-1", "2020-01-01 ", "\u0662020-01-01", "1\\t",
+]
+CELL_ALPHABET = "019-.E \\tnrxNa\t\r"
+
+
+def cells(t):
+    """Snapshot cell texts, valid or not, for a column of type t."""
+    kinds = [st.sampled_from(SPECIAL_CELLS),
+             st.text(CELL_ALPHABET, max_size=6)]
+    if isinstance(t, NumberType):
+        kinds.append(numbers(t).map(str))
+        kinds.append(numbers(t).map(lambda d: format(d, "f")))
+    elif isinstance(t, Varchar2Type):
+        kinds.append(TEXTS.map(reference.escape_cell))
+    else:
+        kinds.append(DATES.map(datetime.date.isoformat))
+    return st.one_of(kinds)
+
+
+def expected_cell(column: ColumnSchema, cell: str):
+    """The oracle's outcome for one cell, with the three fixes."""
+    got = outcome(reference.parse_row, [column], cell)
+    if got[0] == "snapshot" and got[1].startswith("bad escape"):
+        return got
+    if re.sub(r"\\.", "", cell, flags=re.S).endswith("\\"):
+        return ("snapshot", "bad escape \\")
+    if (isinstance(column.type, DateType) and got[0] != "snapshot"
+            and got != [(type(None), "None")]):
+        text = reference.unescape_cell(cell)
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+            return ("snapshot", f"bad value {text!r} for column "
+                    f"{column.name}: Invalid isoformat string: {text!r}")
+    return unsigned(got)
+
+
+@st.composite
+def snapshot_rows(draw):
+    """Columns of a table and one ROWS line, sometimes the wrong width."""
+    types = draw(st.lists(TYPES, min_size=1, max_size=3))
+    columns = [ColumnSchema(f"C{i}", t) for i, t in enumerate(types)]
+    texts = [draw(cells(t)) for t in types]
+    if draw(st.integers(0, 9)) == 0:
+        texts.append(draw(cells(types[0])))
+    return columns, "\t".join(texts)
+
+
+@settings(max_examples=400)
+@given(snapshot_rows())
+def test_decode_matches_the_oracle(case):
+    columns, line = case
+    parts = line.split("\t")
+    if len(parts) != len(columns):
+        expected = outcome(reference.parse_row, columns, line)
+    else:
+        expected = []
+        for column, cell in zip(columns, parts):
+            got = expected_cell(column, cell)
+            if not isinstance(got, list):
+                expected = got
+                break
+            expected += got
+    decode = _row_decoder(Table("T", columns))
+    assert outcome(decode, line) == expected
+
+
+@settings(max_examples=300)
+@given(typed_values())
+def test_encode_matches_the_oracle_and_decodes_back(case):
+    t, value = case
+    try:
+        stored = codec(t).coerce(value)
+    except OraError:
+        return
+    cell = codec(t).encode(stored) if stored is not None else "\\N"
+    assert cell == reference.escape_cell(stored)
+    decode = _row_decoder(Table("T", [ColumnSchema("A", t)]))
+    assert outcome(decode, cell) == [(type(stored), str(stored))]
+
+
+# --- result sets ------------------------------------------------------
+
+VALUES = st.one_of(numbers(), st.text(max_size=6), DATES)
+
+
+@given(VALUES)
+def test_display_matches_the_oracle(value):
+    kind = value_codec(value)
+    expected = reference.cell_text(value)
+    if isinstance(value, Decimal) and not value:
+        expected = expected.lstrip("-")
+    assert kind.display(value) == expected
+    assert kind.right_aligned == isinstance(value, Decimal)
+
+
+@st.composite
+def result_sets(draw):
+    kinds = draw(st.lists(st.sampled_from(
+        [numbers().map(lambda d: d if d else d.copy_abs()),
+         st.text(max_size=6), DATES]), min_size=1, max_size=3))
+    headers = [draw(st.text("ABC_", min_size=1, max_size=4)) for _ in kinds]
+    rows = draw(st.lists(st.tuples(*[st.one_of(st.none(), kind)
+                                     for kind in kinds]).map(list),
+                         max_size=5))
+    return headers, rows
+
+
+@settings(max_examples=150)
+@given(result_sets())
+def test_render_matches_the_oracle(case):
+    headers, rows = case
+    assert (render_result_set(ResultSet(headers, rows))
+            == reference.render_result_set(headers, rows))
+
+
+# --- the three fixes, end to end --------------------------------------
+
+def test_negative_zero_is_stored_shown_and_saved_unsigned():
+    session = make_session()
+    run_sql(session, "CREATE TABLE T(A NUMBER(5,2), B NUMBER)")
+    assert run_sql(session, "INSERT INTO T VALUES(-0, -0.000)")[1] == (
+        "1 row created.")
+    assert run_sql(session, "SELECT A, B FROM T")[3] == "0.00 0"
+    assert run_sql(session, "SELECT -0 FROM DUAL")[3] == " 0"
+    assert saves(session.db).endswith("ROWS T\n0.00\t0\n")
+    reloaded = loads(saves(session.db).replace("0.00\t0", "-0.00\t-0E+3"))
+    assert [str(v) for v in reloaded.tables["T"].rows[0]] == ["0.00", "0"]
+
+
+@pytest.mark.parametrize("text", ["20200101", "2020-W01-1"])
+def test_date_cells_read_only_as_iso_dates(text):
+    with pytest.raises(SnapshotError) as info:
+        loads(f"HANDYDB 1\nTABLE T\nCOL D DATE NULL\nROWS T\n{text}\n")
+    assert str(info.value) == (f"bad value {text!r} for column D: "
+                               f"Invalid isoformat string: {text!r}")
+
+
+def test_rows_section_reads_header_words_as_text():
+    session = make_session()
+    run_sql(session, "CREATE TABLE T(A VARCHAR2(12))")
+    for text in ("TABLE X", "COL A DATE NULL", "CONSTRAINT C", "COUNTER 9"):
+        run_sql(session, f"INSERT INTO T VALUES('{text}')")
+    text = saves(session.db)
+    assert saves(loads(text)) == text
+
+
+def test_modify_not_null_scans_through_validate_existing(monkeypatch):
+    session = make_session()
+    run_sql(session, "CREATE TABLE T(A NUMBER(5))")
+    run_sql(session, "INSERT INTO T VALUES(NULL)")
+    seen = []
+
+    def spy(db, table, candidate, rows):
+        seen.append((candidate.kind, candidate.columns))
+        return real(db, table, candidate, rows)
+
+    real = constraints.validate_existing
+    monkeypatch.setattr(constraints, "validate_existing", spy)
+    counter = session.db.sys_name_counter
+    block = run_sql(session, "ALTER TABLE T MODIFY A NUMBER(5) NOT NULL")
+    assert "ORA-02296" in "\n".join(block)
+    assert seen == [("NOTNULL", ("A",))]
+    assert session.db.sys_name_counter == counter
+    assert catalog.describe(session.db, "T")[2].split()[1] == "NUMBER(5)"

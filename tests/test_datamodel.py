@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from handysql.errors import OraError
 from handysql.values import (
-    DateType, NumberType, Tristate, Varchar2Type, coerce_value, exact_sum,
+    DateType, NumberType, Tristate, Varchar2Type, codec, exact_sum,
     format_date, format_number, normalize_type, parse_date_text,
     parse_type_display, round_significant, type_display,
 )
@@ -86,34 +86,34 @@ def test_date_parse_format_round_trip():
 
 def test_number_coercion_rounds_half_up_to_scale():
     t = NumberType(5, 2)
-    assert coerce_value(Decimal("1.005"), t) == Decimal("1.01")
-    assert coerce_value(Decimal("-1.005"), t) == Decimal("-1.01")
-    assert coerce_value(Decimal("1.004"), t) == Decimal("1.00")
+    assert codec(t).coerce(Decimal("1.005")) == Decimal("1.01")
+    assert codec(t).coerce(Decimal("-1.005")) == Decimal("-1.01")
+    assert codec(t).coerce(Decimal("1.004")) == Decimal("1.00")
 
 
 def test_number_overflow_is_1438_after_rounding():
     t = NumberType(2, 0)
-    assert coerce_value(Decimal("99.4"), t) == Decimal("99")
+    assert codec(t).coerce(Decimal("99.4")) == Decimal("99")
     with pytest.raises(OraError) as exc:
-        coerce_value(Decimal("99.5"), t)
+        codec(t).coerce(Decimal("99.5"))
     assert exc.value.code == 1438
 
 
 def test_string_into_number_is_1722():
     with pytest.raises(OraError) as exc:
-        coerce_value("ABC", NumberType(5))
+        codec(NumberType(5)).coerce("ABC")
     assert exc.value.code == 1722
 
 
 def test_varchar_length_enforced_12899():
-    assert coerce_value("ABCDE", Varchar2Type(5)) == "ABCDE"
+    assert codec(Varchar2Type(5)).coerce("ABCDE") == "ABCDE"
     with pytest.raises(OraError) as exc:
-        coerce_value("ABCDEF", Varchar2Type(5))
+        codec(Varchar2Type(5)).coerce("ABCDEF")
     assert exc.value.code == 12899
 
 
 def test_string_into_date_parses():
-    assert coerce_value("29-AUG-90", DateType()) == datetime.date(1990, 8, 29)
+    assert codec(DateType()).coerce("29-AUG-90") == datetime.date(1990, 8, 29)
 
 
 def test_cross_kind_coercions_are_932():
@@ -125,13 +125,13 @@ def test_cross_kind_coercions_are_932():
     ]
     for value, target in cases:
         with pytest.raises(OraError) as exc:
-            coerce_value(value, target)
+            codec(target).coerce(value)
         assert exc.value.code == 932
 
 
 def test_null_passes_any_coercion():
     for t in (NumberType(5), Varchar2Type(5), DateType()):
-        assert coerce_value(None, t) is None
+        assert codec(t).coerce(None) is None
 
 
 # --- comparison and logic, through compiled predicates ---------------

@@ -180,9 +180,16 @@ def test_bad_escape_rejected():
            "bad escape \\x")
 
 
-def test_trailing_lone_backslash_stays_literal():
-    db = loads("HANDYDB 1\nTABLE T\nCOL A VARCHAR2(5) NULL\nROWS T\na\\\n")
-    assert db.tables["T"].rows == [["a\\"]]
+def test_trailing_lone_backslash_rejected():
+    # saves writes a backslash as two, so a lone one cannot end a cell.
+    reject("HANDYDB 1\nTABLE T\nCOL A VARCHAR2(5) NULL\nROWS T\na\\\n",
+           "bad escape \\")
+    assert loads("HANDYDB 1\nTABLE T\nCOL A VARCHAR2(5) NULL\nROWS T\n"
+                 "a\\\\\n").tables["T"].rows == [["a\\"]]
+    with pytest.raises(SnapshotError) as info:
+        loads("HANDYDB 1\nTABLE T\nCOL A VARCHAR2(5) NULL\n"
+              "CONSTRAINT C T CHECK \\A != 'x\\\n")
+    assert str(info.value).endswith("bad escape \\")
 
 
 def test_check_violating_row_rejected():
