@@ -93,11 +93,16 @@ def check_constraint(name: str, table: Table,
                 or table.find(ref.name) is None):
             raise OraError(904, ref.line, ref.column)
         slot_of[ref] = table.index_of(ref.name)
-    error = kind_mismatch(predicate, lambda ref: table.find(ref.name).type)
+
+    def type_of(ref: ColumnRef) -> SqlType:
+        return table.columns[slot_of[ref]].type
+
+    error = kind_mismatch(predicate, type_of)
     if error is not None:
         raise error
+    test, _ = compile_predicate(predicate, slot_of, type_of)
     return ConstraintDef(name, table.name, "CHECK", predicate=predicate,
-                         test=compile_predicate(predicate, slot_of))
+                         test=test)
 
 
 @dataclass

@@ -1,16 +1,21 @@
 """Row-level predicates shared by WHERE, ON and CHECK, compiled once.
 
 compile_predicate turns a predicate tree into nested closures over the
-slots of a row, given the slot of every column it names: a column
-becomes operator.itemgetter(slot) and a literal a constant.  The
-closures follow Kleene logic.  A comparison reads its left operand,
-then its right; NULL on either side is UNKNOWN, and values of two
-different kinds raise 1722 or 932 at the comparison.  kind_mismatch
-finds such a comparison before any row is read.  AND and OR
-evaluate both sides, left first, so an error on the right surfaces
-even when the left already decides the result.  Aggregate calls are
-illegal inside predicates: one raises 934 at its own position when it
-is evaluated, not when it is compiled.
+slots of a row, given the slot and the declared type of every column it
+names, and says whether the result can raise.  The closures follow
+Kleene logic.  A comparison reads its left operand, then its right;
+NULL on either side is UNKNOWN, and values of two different kinds raise
+1722 or 932 at the comparison.  Stored values always have their
+column's kind, so a comparison whose two sides have one static kind
+(column against column, or column against a non-NULL literal) reads its
+slots directly and never checks kinds or raises.  Any other comparison
+checks kinds on every row, as the tree walk in tests/reference.py does.
+kind_mismatch finds a comparison of two kinds before any row is read.
+AND and OR skip their right side once the left side decides, unless
+the right side can raise: then both sides run, left first, so its
+error surfaces as in a full evaluation.  Aggregate calls are illegal
+inside predicates: one raises 934 at its own position when it is
+evaluated, not when it is compiled.
 """
 
 from __future__ import annotations
@@ -49,49 +54,82 @@ def eval_predicate(test: Test, row: Row) -> Tristate:
     return test(row)
 
 
-def compile_predicate(pred: Predicate,
-                      slot_of: Mapping[ColumnRef, int]) -> Test:
-    """A function of a row giving pred's truth value on it."""
+def compile_predicate(pred: Predicate, slot_of: Mapping[ColumnRef, int],
+                      type_of: Callable[[ColumnRef], SqlType],
+                      ) -> tuple[Test, bool]:
+    """A function of a row giving pred's truth value, and whether it can raise.
+
+    slot_of gives the row slot of every column pred names, and type_of
+    its declared type.  Only an aggregate call (934) or a comparison of
+    two different static kinds (1722/932) can raise.
+    """
     if isinstance(pred, Comparison):
-        return _compile_comparison(pred, slot_of)
+        return _compile_comparison(pred, slot_of, type_of)
     if isinstance(pred, IsNull):
-        get = _compile_expr(pred.operand, slot_of)
         when_null, when_not = (FALSE, TRUE) if pred.negated else (TRUE, FALSE)
-        return lambda row: when_null if get(row) is None else when_not
+        if isinstance(pred.operand, ColumnRef):
+            slot = slot_of[pred.operand]
+            return (lambda row: when_null if row[slot] is None
+                    else when_not), False
+        get = _compile_expr(pred.operand, slot_of)
+        return (lambda row: when_null if get(row) is None else when_not,
+                isinstance(pred.operand, AggregateCall))
     if isinstance(pred, Not):
-        inner = compile_predicate(pred.operand, slot_of)
+        inner_test, raises = compile_predicate(pred.operand, slot_of, type_of)
 
         def negation(row: Row) -> Tristate:
-            state = inner(row)
+            state = inner_test(row)
             if state is TRUE:
                 return FALSE
             if state is FALSE:
                 return TRUE
             return UNKNOWN
-        return negation
+        return negation, raises
     if isinstance(pred, BoolOp):
-        left = compile_predicate(pred.left, slot_of)
-        right = compile_predicate(pred.right, slot_of)
+        left, left_raises = compile_predicate(pred.left, slot_of, type_of)
+        right, right_raises = compile_predicate(pred.right, slot_of, type_of)
+        raises = left_raises or right_raises
         if pred.op == "AND":
-            def conjunction(row: Row) -> Tristate:
+            if right_raises:
+                def conjunction(row: Row) -> Tristate:
+                    a = left(row)
+                    b = right(row)
+                    if a is FALSE or b is FALSE:
+                        return FALSE
+                    if a is TRUE and b is TRUE:
+                        return TRUE
+                    return UNKNOWN
+                return conjunction, raises
+
+            def short_conjunction(row: Row) -> Tristate:
+                a = left(row)
+                if a is FALSE:
+                    return FALSE
+                b = right(row)
+                if a is TRUE or b is FALSE:
+                    return b
+                return UNKNOWN
+            return short_conjunction, raises
+        if right_raises:
+            def disjunction(row: Row) -> Tristate:
                 a = left(row)
                 b = right(row)
-                if a is FALSE or b is FALSE:
-                    return FALSE
-                if a is TRUE and b is TRUE:
+                if a is TRUE or b is TRUE:
                     return TRUE
+                if a is FALSE and b is FALSE:
+                    return FALSE
                 return UNKNOWN
-            return conjunction
+            return disjunction, raises
 
-        def disjunction(row: Row) -> Tristate:
+        def short_disjunction(row: Row) -> Tristate:
             a = left(row)
-            b = right(row)
-            if a is TRUE or b is TRUE:
+            if a is TRUE:
                 return TRUE
-            if a is FALSE and b is FALSE:
-                return FALSE
+            b = right(row)
+            if a is FALSE or b is TRUE:
+                return b
             return UNKNOWN
-        return disjunction
+        return short_disjunction, raises
     raise AssertionError(f"unknown predicate {pred!r}")
 
 
@@ -109,8 +147,33 @@ def _compile_expr(expr: Expr, slot_of: Mapping[ColumnRef, int],
     raise AssertionError(f"unknown expression {expr!r}")
 
 
-def _compile_comparison(pred: Comparison,
-                        slot_of: Mapping[ColumnRef, int]) -> Test:
+def _static_kind(expr: Expr, type_of: Callable[[ColumnRef], SqlType],
+                 ) -> type | None:
+    """The class of every non-NULL value of expr, if it has one.
+
+    A NULL literal, and an aggregate call, have none.
+    """
+    if isinstance(expr, ColumnRef):
+        return _VALUE_KINDS[type(type_of(expr))]
+    if isinstance(expr, Literal) and expr.value is not None:
+        return type(expr.value)
+    return None
+
+
+# Each operator with its operands swapped.
+_SWAPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _compile_comparison(pred: Comparison, slot_of: Mapping[ColumnRef, int],
+                        type_of: Callable[[ColumnRef], SqlType],
+                        ) -> tuple[Test, bool]:
+    typed = _typed_comparison(pred, slot_of, type_of)
+    if typed is not None:
+        return typed, False
+    kinds = {_static_kind(pred.left, type_of),
+             _static_kind(pred.right, type_of)} - {None}
+    raises = len(kinds) > 1 or any(
+        isinstance(e, AggregateCall) for e in (pred.left, pred.right))
     op = COMPARE_OPS[pred.op]
     get_left = _compile_expr(pred.left, slot_of)
     get_right = _compile_expr(pred.right, slot_of)
@@ -124,7 +187,50 @@ def _compile_comparison(pred: Comparison,
             return TRUE if op(a, b) else FALSE
         raise OraError(mismatch_code(type(a), type(b)),
                        pred.line, pred.column)
-    return comparison
+    return comparison, raises
+
+
+def _typed_comparison(pred: Comparison, slot_of: Mapping[ColumnRef, int],
+                      type_of: Callable[[ColumnRef], SqlType],
+                      ) -> Test | None:
+    """pred read straight from the row's slots, or None.
+
+    Only a comparison whose two sides have one static kind, neither
+    NULL, gets one.  Stored values always have their column's kind, so
+    it needs no per-row kind check and never raises.
+    """
+    left, right = pred.left, pred.right
+    kind = _static_kind(left, type_of)
+    if kind is None or kind is not _static_kind(right, type_of):
+        return None
+    if isinstance(left, Literal):
+        if isinstance(right, Literal):
+            state = TRUE if COMPARE_OPS[pred.op](left.value,
+                                                 right.value) else FALSE
+            return lambda row: state
+        left, right = right, left
+        op = COMPARE_OPS[_SWAPPED[pred.op]]
+    else:
+        op = COMPARE_OPS[pred.op]
+    i = slot_of[left]
+    if isinstance(right, Literal):
+        value = right.value
+
+        def column_literal(row: Row) -> Tristate:
+            a = row[i]
+            if a is None:
+                return UNKNOWN
+            return TRUE if op(a, value) else FALSE
+        return column_literal
+    j = slot_of[right]
+
+    def column_column(row: Row) -> Tristate:
+        a = row[i]
+        b = row[j]
+        if a is None or b is None:
+            return UNKNOWN
+        return TRUE if op(a, b) else FALSE
+    return column_column
 
 
 def kind_mismatch(pred: Predicate, type_of: Callable[[ColumnRef], SqlType],
@@ -136,15 +242,9 @@ def kind_mismatch(pred: Predicate, type_of: Callable[[ColumnRef], SqlType],
     neither side is NULL, and no other comparison ever raises.  A NULL
     literal, and an aggregate call, compare with anything.
     """
-    def kind(expr: Expr) -> type | None:
-        if isinstance(expr, ColumnRef):
-            return _VALUE_KINDS[type(type_of(expr))]
-        if isinstance(expr, Literal) and expr.value is not None:
-            return type(expr.value)
-        return None
-
     for comp in predicate_nodes(pred, Comparison):
-        kinds = {kind(comp.left), kind(comp.right)} - {None}
+        kinds = {_static_kind(comp.left, type_of),
+                 _static_kind(comp.right, type_of)} - {None}
         if len(kinds) > 1:
             return OraError(mismatch_code(*kinds), comp.line, comp.column)
     return None

@@ -5,20 +5,25 @@ statements to it.  An insert appends to its table's rows only after
 every constraint has passed.
 
 A select is planned once and then run as a stream of rows.  Planning
-binds every column reference to a slot of the combined row, compiles
-each ON and WHERE predicate and the select list into functions of that
-row, and, when no predicate can raise, picks for each table after the
-first an equality with an earlier table to hash-join on.  Running pulls
-rows through generators, left to right over the FROM list, and keeps
-nested-loop order: rows follow the first table's insertion order, then
-the second table's within each, and so on.  A comma join with a WHERE
-filter is the same computation as INNER JOIN ... ON.  Join output is all
+binds every column reference to a slot of the combined row and compiles
+ON, WHERE and the select list into functions of that row.  When neither
+ON nor WHERE can raise, a join places each top-level AND conjunct where
+its columns first meet: one naming a single table filters that table's
+rows before the join, the first equality of each later table with an
+earlier one becomes its hash join key, and the rest filter the joined
+rows.  Otherwise the whole product is filtered by ON, then WHERE, so
+errors come as from a plain nested loop.  Running pulls rows through
+generators, left to right over the FROM list, and keeps nested-loop
+order: rows follow the first table's insertion order, then the second
+table's within each, and so on.  A comma join with a WHERE filter is
+the same computation as INNER JOIN ... ON.  Join output is all
 left-table columns then all right-table columns, in schema order, names
 un-renamed.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -29,8 +34,7 @@ from .catalog import ColumnSchema, Database, Table
 from .constraints import check_row
 from .errors import OraError, violation_error
 from .evaluate import (
-    TRUE, Test, compile_predicate, eval_predicate, kind_mismatch,
-    predicate_nodes,
+    TRUE, Test, compile_predicate, eval_predicate, predicate_nodes,
 )
 from .nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, BoolOp, ColumnRef,
@@ -38,7 +42,9 @@ from .nodes import (
     Select, Statement, TableRef,
 )
 from .render import render_expr
-from .values import SqlValue, codec, exact_sum, round_significant
+from .values import (
+    SqlType, SqlValue, codec, exact_sum, round_significant,
+)
 
 Row = list[SqlValue]
 
@@ -174,41 +180,10 @@ class _Scope:
         source = self.sources[i]
         return i, source.table.columns[slot - source.offset]
 
-    def may_raise(self, pred: Predicate,
-                  slot_of: dict[ColumnRef, int]) -> bool:
-        """Whether evaluating pred on some row could raise.
-
-        Only an aggregate (934) or a comparison of two different kinds
-        (1722/932) can.
-        """
-        if predicate_nodes(pred, AggregateCall):
-            return True
-        return kind_mismatch(
-            pred, lambda ref: self.column_at(slot_of[ref])[1].type,
-        ) is not None
-
-    def hash_keys(self, preds: list[Predicate],
-                  slot_of: dict[ColumnRef, int],
-                  ) -> dict[int, tuple[int, int]]:
-        """Equalities to hash-join on: source index -> (left slot, column).
-
-        For each source, the first top-level AND conjunct of the form
-        x = y with y in that source and x in an earlier one.  Pairs for
-        which it is not TRUE cannot pass the predicate holding it.
-        """
-        keys: dict[int, tuple[int, int]] = {}
-        for pred in preds:
-            for conj in _conjuncts(pred):
-                if not (isinstance(conj, Comparison) and conj.op == "="
-                        and isinstance(conj.left, ColumnRef)
-                        and isinstance(conj.right, ColumnRef)):
-                    continue
-                # Slots grow with the source index, so left is the earlier.
-                left, right = sorted((slot_of[conj.left], slot_of[conj.right]))
-                i, j = self.column_at(left)[0], self.column_at(right)[0]
-                if i < j:
-                    keys.setdefault(j, (left, right - self.sources[j].offset))
-        return keys
+    def type_of(self, slot_of: dict[ColumnRef, int],
+                ) -> Callable[[ColumnRef], SqlType]:
+        """The declared type of each column bound in slot_of."""
+        return lambda ref: self.column_at(slot_of[ref])[1].type
 
 
 def _conjuncts(pred: Predicate) -> list[Predicate]:
@@ -247,43 +222,111 @@ def _matching_rows(scope: _Scope, on: Predicate | None,
     Errors come in the order of a nested loop that filters the whole
     product by ON before it looks at WHERE: ON columns (904/918), ON
     evaluation, WHERE aggregates (934), WHERE columns, WHERE evaluation.
+    When neither predicate can raise, no error can come after planning,
+    and a join runs as _pushed_down.
     """
     slot_of = scope.bind(on) if on is not None else {}
-    rows: Iterable[Row] | None = None
-    if on is not None and scope.may_raise(on, slot_of):
-        # ON errors outrank every WHERE error, so ON runs over the whole
-        # product before WHERE is even resolved.
-        rows = list(_passing(_joined(scope.sources, {}),
-                             compile_predicate(on, slot_of)))
-        on = None
+    type_of = scope.type_of(slot_of)
+    rows = _joined([source.rows for source in scope.sources])
+    tests: list[Test] = []
+    raises = False
+    if on is not None:
+        test, raises = compile_predicate(on, slot_of, type_of)
+        if raises:
+            # ON errors outrank every WHERE error, so ON runs over the
+            # whole product before WHERE is even resolved.
+            rows = list(_passing(rows, test))
+        else:
+            tests.append(test)
     if where is not None:
         aggs = predicate_nodes(where, AggregateCall)
         if aggs:
             raise OraError(934, aggs[0].line, aggs[0].column)
         slot_of.update(scope.bind(where))
-    preds = [p for p in (on, where) if p is not None]
-    if rows is None:
-        # ON, if any, cannot raise here; the hash join needs WHERE safe too.
-        keys: dict[int, tuple[int, int]] = {}
-        if len(scope.sources) > 1 and not (
-                where is not None and scope.may_raise(where, slot_of)):
-            keys = scope.hash_keys(preds, slot_of)
-        rows = _joined(scope.sources, keys)
-    for pred in preds:
-        rows = _passing(rows, compile_predicate(pred, slot_of))
+        test, where_raises = compile_predicate(where, slot_of, type_of)
+        raises = raises or where_raises
+        tests.append(test)
+    if len(scope.sources) > 1 and not raises:
+        return _pushed_down(scope, [p for p in (on, where) if p], slot_of)
+    for test in tests:
+        rows = _passing(rows, test)
     return rows
 
 
-def _joined(sources: list[_Source],
-            keys: dict[int, tuple[int, int]]) -> Iterable[Row]:
-    """The FROM list's combined rows, hash-joining sources that have keys."""
-    rows: Iterable[Row] = sources[0].rows
-    for i in range(1, len(sources)):
-        right = sources[i].rows
+def _pushed_down(scope: _Scope, preds: list[Predicate],
+                 slot_of: dict[ColumnRef, int]) -> Iterable[Row]:
+    """A join's rows, each filter placed where it first has its columns.
+
+    preds cannot raise, so their top-level AND conjuncts may run in any
+    order and on any subset of the product that holds their columns.  A
+    conjunct naming at most one source filters that source's own rows
+    before the join.  For each later source, the first equality x = y
+    with y in it and x in an earlier one becomes its hash join key: the
+    hash join yields exactly the pairs where it is TRUE, so it is not
+    evaluated again.  Each other conjunct filters the joined rows as
+    soon as the last source it names has been joined.
+    """
+    n = len(scope.sources)
+    before: list[list[Predicate]] = [[] for _ in range(n)]
+    after: list[list[Predicate]] = [[] for _ in range(n)]
+    keys: dict[int, tuple[int, int]] = {}
+    for conj in [c for pred in preds for c in _conjuncts(pred)]:
+        refs = predicate_nodes(conj, ColumnRef)
+        named = sorted({scope.column_at(slot_of[ref])[0] for ref in refs})
+        if len(named) <= 1:
+            before[named[0] if named else 0].append(conj)
+            continue
+        last = named[-1]
+        if (isinstance(conj, Comparison) and conj.op == "="
+                and len(refs) == 2 and last not in keys):
+            # Slots grow with the source index, so left is the earlier.
+            left, right = sorted(slot_of[ref] for ref in refs)
+            keys[last] = (left, right - scope.sources[last].offset)
+        else:
+            after[last].append(conj)
+
+    type_of = scope.type_of(slot_of)
+    inputs: list[Iterable[Row]] = []
+    for i, source in enumerate(scope.sources):
+        rows: Iterable[Row] = source.rows
+        if before[i]:
+            # Slots within the source's own row.
+            local = {ref: slot - source.offset
+                     for ref, slot in slot_of.items()}
+            test, _ = compile_predicate(_conjunction(before[i]), local,
+                                        type_of)
+            rows = _passing(rows, test)
+            if i:
+                rows = list(rows)
+        inputs.append(rows)
+    filters = {i: compile_predicate(_conjunction(conjs), slot_of, type_of)[0]
+               for i, conjs in enumerate(after) if conjs}
+    return _joined(inputs, keys, filters)
+
+
+def _conjunction(conjs: list[Predicate]) -> Predicate:
+    return functools.reduce(lambda a, b: BoolOp("AND", a, b), conjs)
+
+
+def _joined(inputs: list[Iterable[Row]],
+            keys: dict[int, tuple[int, int]] | None = None,
+            filters: dict[int, Test] | None = None) -> Iterable[Row]:
+    """The combined rows of each source's rows, left to right.
+
+    Sources after the first are lists.  keys gives the hash join key of
+    a source, and filters a test on the rows joined through it.
+    """
+    keys = keys or {}
+    filters = filters or {}
+    rows = inputs[0]
+    for i in range(1, len(inputs)):
+        right = inputs[i]
         if i in keys:
             rows = _hash_join(rows, right, *keys[i])
         else:
             rows = _nested_join(rows, right)
+        if i in filters:
+            rows = _passing(rows, filters[i])
     return rows
 
 
@@ -379,5 +422,4 @@ def eval_aggregate(func: str, values: list[SqlValue],
     if func == "SUM":
         return exact_sum(present)
     assert func == "AVG"
-    total = sum(Fraction(v) for v in present)
-    return round_significant(total / len(present))
+    return round_significant(Fraction(exact_sum(present)) / len(present))

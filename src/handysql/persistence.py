@@ -15,18 +15,20 @@ Lines end with "\\n" only, and blank lines are skipped.  ROWS sections
 come last: every line after a ROWS line, up to the next ROWS line, is a
 row of its table.  Row cells are tab separated; NULL is \\N; backslash,
 tab, newline and carriage return are escaped, and a lone backslash ends
-no cell.  Each column's codec (values.codec) writes and reads its
-cells: dates as YYYY-MM-DD, numbers in plain positional notation.  A
-CHECK body is its predicate's SQL text; one whose literals hold a
-newline or a carriage return is escaped as a cell is, behind a leading
-backslash, which no SQL text starts with.  A PK or UNIQUE line lists
-its columns with commas, and a NOTNULL line names its one column.  The
-NOTNULL/NULL field of a COL line is derived from the constraint list
-when saving and, on loading, must match what the constraints imply.
-Loading rebuilds one Database record, tables holding their rows, and
-re-validates every row against its column types and all constraints,
-so a snapshot edited into an inconsistent state is rejected rather than
-trusted.
+no cell.  \\e reads as nothing: saves writes it only in front of a row
+line that would otherwise be blank (the empty text of a one-column
+table) or start with "ROWS ", so that every row it writes loads again.
+Each column's codec (values.codec) writes and reads its cells: dates as
+YYYY-MM-DD, numbers in plain positional notation.  A CHECK body is its
+predicate's SQL text; one whose literals hold a newline or a carriage
+return is escaped as a cell is, behind a leading backslash, which no SQL
+text starts with.  A PK or UNIQUE line lists its columns with commas,
+and a NOTNULL line names its one column.  The NOTNULL/NULL field of a
+COL line is derived from the constraint list when saving and, on
+loading, must match what the constraints imply.  Loading rebuilds one
+Database record, tables holding their rows, and re-validates every row
+against its column types and all constraints, so a snapshot edited into
+an inconsistent state is rejected rather than trusted.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from .errors import OraError
 from .parser import parse_standalone_predicate
 from .render import render_predicate
 from .values import (
-    SqlValue, codec, escape_text, parse_type_display, type_display,
+    SqlValue, Varchar2Type, codec, escape_text, parse_type_display,
+    type_display,
 )
 
 _MAGIC = "HANDYDB 1"
@@ -55,9 +58,11 @@ class SnapshotError(Exception):
     pass
 
 
-# Undoes values.escape_text.  A lone backslash at the end of a cell is
-# a bad escape too.
-_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+# Undoes values.escape_text, and reads \e as nothing.  A lone
+# backslash at the end of a cell is a bad escape too.
+_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "e": ""}
+# Leads a row line that would otherwise read as blank or as a header.
+_LEAD = "\\e"
 _ESCAPE_SEQ = re.compile(r"\\(.?)", re.DOTALL)
 
 
@@ -107,6 +112,12 @@ def saves(db: Database) -> str:
         encoders = [codec(col.type).encode for col in table.columns]
         cells = [[_NULL if v is None else encode(v) for v in column]
                  for encode, column in zip(encoders, zip(*table.rows))]
+        if cells and isinstance(table.columns[0].type, Varchar2Type):
+            # Only a text cell can be empty or start like a header.
+            one_column = len(cells) == 1
+            cells[0] = [_LEAD + cell if (not cell and one_column)
+                        or cell.startswith("ROWS ") else cell
+                        for cell in cells[0]]
         lines.extend(map("\t".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 

@@ -1,3 +1,4 @@
+import datetime
 import io
 from decimal import Decimal
 
@@ -10,7 +11,7 @@ from handysql.executor import Database
 from handysql.nodes import ColumnRef
 from handysql.parser import parse_standalone_predicate
 from handysql.shell import Session, execute_statement
-from handysql.values import Tristate
+from handysql.values import DateType, NumberType, Tristate, Varchar2Type
 
 # The reference's name for each engine truth value.
 REF_TRUTH = {Tristate.TRUE: reference.TRUE, Tristate.FALSE: reference.FALSE,
@@ -37,12 +38,23 @@ def ora_code(block: list[str]) -> int | None:
     return None
 
 
+# A declared type of each kind of value; a NULL fits any column.
+_TYPE_OF_VALUE = {Decimal: NumberType(), str: Varchar2Type(4000),
+                  datetime.date: DateType(), type(None): NumberType()}
+
+
 def truth(text: str, a=None, b=None):
-    """A predicate over columns A and B, compiled, on the row (a, b)."""
+    """A predicate over columns A and B, compiled, on the row (a, b).
+
+    Each column is declared with the type of its value.
+    """
     pred = parse_standalone_predicate(text)
+    row = [a, b]
     slot_of = {ref: "AB".index(ref.name)
                for ref in predicate_nodes(pred, ColumnRef)}
-    return compile_predicate(pred, slot_of)([a, b])
+    test, _ = compile_predicate(
+        pred, slot_of, lambda ref: _TYPE_OF_VALUE[type(row[slot_of[ref]])])
+    return test(row)
 
 
 @pytest.fixture

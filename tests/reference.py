@@ -297,11 +297,15 @@ def interpret_predicate(pred, resolve) -> str:
 # --- nested-loop SELECT oracle ---------------------------------------
 
 class Expected(Exception):
-    """The error a statement must raise: (code, line, column)."""
+    """The error a statement must raise: (code, line, column).
 
-    def __init__(self, code: int, node):
+    An error with no node, such as SUM over text, sits at (1, 1).
+    """
+
+    def __init__(self, code: int, node=None):
         super().__init__(code)
-        self.where = (code, node.line, node.column)
+        self.where = ((code, node.line, node.column) if node is not None
+                      else (code, 1, 1))
 
 
 def _operands(pred) -> list:
@@ -328,7 +332,8 @@ def nested_loop_select(tables: dict, stmt) -> list[list]:
     tables maps a table name to (column names, rows).  Every combination
     of rows is built first; ON filters all of them, then WHERE filters
     what is left, and errors surface in that order.  Both sides of
-    AND/OR are always evaluated.  Aggregates are COUNT, MIN and MAX.
+    AND/OR are always evaluated.  Aggregates are COUNT, MIN, MAX, and
+    SUM and AVG through fold_sum, fold_avg and round_sig.
     """
     header: list[tuple[set, str]] = []  # (qualifiers, column name)
     product: list[list] = [[]]
@@ -404,10 +409,20 @@ def nested_loop_select(tables: dict, stmt) -> list[list]:
             folded.append(len(product))
         else:
             i = position(expr.arg)
-            fold = {"COUNT": fold_count, "MIN": fold_min,
-                    "MAX": fold_max}[expr.func]
-            folded.append(fold([c[i] for c in product]))
+            values = [c[i] for c in product]
+            if expr.func in ("SUM", "AVG") and any(
+                    v is not None and not isinstance(v, Decimal)
+                    for v in values):
+                raise Expected(1722)
+            fold = {"COUNT": fold_count, "MIN": fold_min, "MAX": fold_max,
+                    "SUM": fold_sum, "AVG": _rounded_avg}[expr.func]
+            folded.append(fold(values))
     return [folded]
+
+
+def _rounded_avg(values):
+    mean = fold_avg(values)
+    return None if mean is None else round_sig(mean)
 
 
 # --- statement rendering ---------------------------------------------
@@ -657,7 +672,7 @@ def escape_cell(value) -> str:
                 .replace("\r", "\\r"))
 
 
-_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "e": ""}
 _ESCAPE_SEQ = re.compile(r"\\(.)", re.DOTALL)
 
 

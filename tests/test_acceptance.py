@@ -169,8 +169,10 @@ def _random_join_query(rng, tables):
 
     Equalities between key columns sit beside residual conjuncts, OR,
     NOT and IS NULL, and now and then an error: a cross-kind comparison,
-    an unknown or ambiguous column, an aggregate in a predicate, or a
-    plain column beside an aggregate in the select list.
+    an unknown or ambiguous column, an aggregate in a predicate, SUM or
+    AVG over text, or a plain column beside an aggregate in the select
+    list.  Half the queries also filter every source on its own
+    columns, which the engine runs before the join.
     """
     (ta, *_), (tb, *_), (tc, *_) = tables
     shape = rng.choice(["comma2", "comma3", "self", "inner"])
@@ -239,8 +241,26 @@ def _random_join_query(rng, tables):
             return f"NOT ({piece(1)})"
         return error() if rng.random() < 0.5 else equality()
 
-    def conjunction():
-        return " AND ".join(piece() for _ in range(rng.randint(1, 3)))
+    def own_filter(source):
+        """A conjunct on one source's columns alone."""
+        qual, name, kind, _ = rng.choice(source)
+        text = f"{qual}.{name}"
+        roll = rng.random()
+        if roll < 0.3:
+            return f"{text} IS {rng.choice(['', 'NOT '])}NULL"
+        if kind == "date" or roll < 0.4:
+            other = rng.choice([c for c in source if c[2] == kind])
+            return f"{text} {rng.choice(['=', '<=', '>='])} " \
+                f"{other[0]}.{other[1]}"
+        value = ref.gen_value(rng, kind, null_rate=0.05)
+        op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+        return f"{text} {op} {ref.sql_literal(value)}"
+
+    def conjunction(own=()):
+        parts = [piece() for _ in range(rng.randint(1, 3))]
+        parts += [own_filter(source) for source in own]
+        rng.shuffle(parts)
+        return " AND ".join(parts)
 
     roll = rng.random()
     if roll < 0.35:
@@ -253,22 +273,31 @@ def _random_join_query(rng, tables):
             chosen.append("NO_SUCH_COLUMN")
         items = ", ".join(chosen)
     else:
+        def number():
+            # Now and then a column of any kind, for SUM/AVG's 1722.
+            found = column(kind=None if rng.random() < 0.1 else "number")
+            return (found or column())[0]
+
         chosen = [rng.choice(["COUNT(*)", f"COUNT({column()[0]})",
-                              f"MIN({column()[0]})", f"MAX({column()[0]})"])
+                              f"MIN({column()[0]})", f"MAX({column()[0]})",
+                              f"SUM({number()})", f"AVG({number()})"])
                   for _ in range(rng.randint(1, 3))]
         if rng.random() < 0.1:
             chosen.append(column()[0])
         items = ", ".join(chosen)
+    # Half the queries filter every source on its own columns too.
+    own = cols if rng.random() < 0.5 else []
     if shape == "inner":
+        split = rng.randint(0, len(own))
         text = (f"SELECT {items} FROM {froms[0]} INNER JOIN {froms[1]} "
-                f"ON {conjunction()}")
-        if rng.random() < 0.5:
-            text += f" WHERE {conjunction()}"
-        return shape, text
+                f"ON {conjunction(own[:split])}")
+        if rng.random() < 0.5 or own[split:]:
+            text += f" WHERE {conjunction(own[split:])}"
+        return shape, bool(own), text
     text = f"SELECT {items} FROM {', '.join(froms)}"
-    if rng.random() < 0.9:
-        text += f" WHERE {conjunction()}"
-    return shape, text
+    if rng.random() < 0.9 or own:
+        text += f" WHERE {conjunction(own)}"
+    return shape, bool(own), text
 
 
 def _cells(rows):
@@ -281,8 +310,8 @@ def test_criterion_06_join_forms_agree():
 
     Every random query over three small tables must give the rows of
     tests/reference.py's brute-force SELECT, or the same ORA code at
-    the same position: hash-joined, streamed execution may change the
-    work done, never the outcome.
+    the same position: hash joins, filters run at their tables and
+    streamed execution may change the work done, never the outcome.
     """
     rng = random.Random(1306)
     nonempty = 0
@@ -317,7 +346,7 @@ def test_criterion_06_join_forms_agree():
         stored = {name: (list(db.tables[name].column_names()),
                          db.tables[name].rows) for name, *_ in tables}
         for _ in range(4):
-            shape, text = _random_join_query(rng, tables)
+            shape, filtered, text = _random_join_query(rng, tables)
             stmt = parse_text(text)
             try:
                 want = ("rows", _cells(ref.nested_loop_select(stored, stmt)))
@@ -328,14 +357,25 @@ def test_criterion_06_join_forms_agree():
             except OraError as err:
                 got = ("error", (err.code, err.line, err.column))
             assert got == want, text
-            seen[shape, want[1][0] if want[0] == "error"
-                 else "rows" if want[1] else "empty"] += 1
+            outcome = (want[1][0] if want[0] == "error"
+                       else "rows" if want[1] else "empty")
+            seen[shape, outcome] += 1
+            if filtered:
+                seen["filtered", outcome] += 1
+            if "SUM(" in text or "AVG(" in text:
+                # Only SUM or AVG over text fails at (1, 1).
+                over_text = want == ("error", (1722, 1, 1))
+                seen["sum_avg", "text" if over_text else outcome] += 1
     assert nonempty >= 200
     for shape in ("comma2", "comma3", "self", "inner"):
         assert seen[shape, "rows"] >= 100, seen
         for code in (904, 934, 1722):
             assert seen[shape, code] >= 5, seen
     assert seen["self", 918] >= 5, seen
+    # Per-source filters leave rows, and SUM/AVG both fold and fail.
+    assert seen["filtered", "rows"] >= 300, seen
+    assert seen["sum_avg", "rows"] >= 200, seen
+    assert seen["sum_avg", "text"] >= 5, seen
     assert sum(n for (_, code), n in seen.items() if code == 937) >= 5, seen
 
 

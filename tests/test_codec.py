@@ -121,7 +121,8 @@ SPECIAL_CELLS = [
     "1E+2", "1e-3", "-0", "-0.00", "+1", "", "nope", "\\N", "x\\N",
     "\\\\", "\\t", "\\n", "\\r", "\\x", "a\\", "a\\\\", "a\\\\\\", "\\",
     "2020-01-01", "2020-02-30", "0000-01-01", "2020-13-01", "20200101",
-    "2020-W01-1", "2020-01-01 ", "\u0662020-01-01", "1\\t",
+    "2020-W01-1", "2020-01-01 ", "\u0662020-01-01", "1\\t", "\\e",
+    "\\eROWS T", "1\\e", "\\e\\N", "\\E",
 ]
 CELL_ALPHABET = "019-.E \\tnrxNa\t\r"
 

@@ -4,7 +4,11 @@ Rigger and Su (ESEC/FSE 2020) check an optimized evaluation against a
 plain one on random inputs.  Here the optimized side is
 evaluate.compile_predicate and the plain side is
 reference.interpret_predicate: on every row both must give the same
-truth value or raise the same (code, line, column).
+truth value or raise the same (code, line, column).  Each slot has a
+declared type and holds values of its kind only, as stored rows do, so
+the compiler's typed comparisons run; slots and literals of different
+kinds still meet, so the checked comparisons and their errors run too.
+A test the compiler says cannot raise must never raise.
 """
 
 import datetime
@@ -14,26 +18,39 @@ from decimal import Decimal
 from hypothesis import given, settings, strategies as st
 
 import reference
+from conftest import REF_TRUTH, make_session, run_sql
+from handysql.catalog import BUILTINS
 from handysql.errors import OraError
-from conftest import REF_TRUTH
 from handysql.evaluate import compile_predicate, eval_predicate
 from handysql.nodes import (AggregateCall, BoolOp, ColumnRef, Comparison,
                             IsNull, Literal, Not)
+from handysql.persistence import SnapshotError, loads, saves
+from handysql.values import DateType, NumberType, Varchar2Type
 
 WIDTH = 3
 SLOT_OF = {ColumnRef(f"C{i}"): i for i in range(WIDTH)}
 
 # Numbers at several scales, so equal values differ in Decimal form;
 # text that looks like a number; dates.  Every kind meets every other.
-VALUES = st.one_of(
-    st.none(),
-    st.sampled_from(("0", "1", "1.0", "1.00", "-1", "2.5", "2.50"))
-      .map(Decimal),
-    st.sampled_from(("", "1", "A", "a", "B")),
-    st.sampled_from((datetime.date(1990, 1, 1), datetime.date(2001, 5, 9))),
-)
-ROWS = st.lists(st.lists(VALUES, min_size=WIDTH, max_size=WIDTH),
-                max_size=4)
+NUMBERS = st.sampled_from(("0", "1", "1.0", "1.00", "-1", "2.5", "2.50")
+                          ).map(Decimal)
+TEXTS = st.sampled_from(("", "1", "A", "a", "B"))
+DATES = st.sampled_from((datetime.date(1990, 1, 1),
+                         datetime.date(2001, 5, 9)))
+VALUES = st.one_of(st.none(), NUMBERS, TEXTS, DATES)
+# A declared type of each kind, and the values a column of it holds.
+KINDS = ((NumberType(10, 2), NUMBERS), (Varchar2Type(5), TEXTS),
+         (DateType(), DATES))
+
+
+@st.composite
+def tables(draw):
+    """A declared type per slot, and rows whose values have its kind."""
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=WIDTH,
+                          max_size=WIDTH))
+    row = st.tuples(*(st.one_of(st.none(), values) for _, values in kinds))
+    rows = draw(st.lists(row.map(list), max_size=4))
+    return [sql_type for sql_type, _ in kinds], rows
 
 
 @st.composite
@@ -79,12 +96,74 @@ def outcome(evaluate):
 
 
 @settings(max_examples=400)
-@given(predicates(), ROWS)
-def test_compiled_predicate_matches_tree_walk(pred, rows):
+@given(predicates(), tables())
+def test_compiled_predicate_matches_tree_walk(pred, table):
+    types, rows = table
     # Compiling never raises: an aggregate's 934 waits for a row.
-    test = compile_predicate(pred, SLOT_OF)
+    test, raises = compile_predicate(
+        pred, SLOT_OF, lambda ref: types[SLOT_OF[ref]])
     for row in rows:
         expected = outcome(lambda: reference.interpret_predicate(
             pred, lambda ref: row[SLOT_OF[ref]]))
         got = outcome(lambda: REF_TRUTH[eval_predicate(test, row)])
         assert got == expected
+        # A test said not to raise never does.
+        assert raises or isinstance(expected, str)
+
+
+# The compiled comparisons above trust that a column of each type only
+# ever holds values of one class.  The class is exact: a datetime, say,
+# does not compare with a date.
+KIND_OF = {NumberType: Decimal, Varchar2Type: str, DateType: datetime.date}
+DECLARED = ("NUMBER", "NUMBER(5,2)", "INTEGER", "VARCHAR2(6)", "VARCHAR(3)",
+            "DATE")
+LITERALS = ("NULL", "0", "-0.004", "12.345", "999", "1e3", "'1'", "''",
+            "'abc'", "'01-JAN-90'", "'29-feb-2000'", "'x\ty'")
+CELLS = ("\\N", "0", "-0.00", "12.5", "abc", "", "\\e", "\\eROWS T",
+         "2020-01-01", "01-JAN-90", "a\\tb")
+
+
+def assert_declared_kinds(table, rows):
+    for row in rows:
+        for col, value in zip(table.columns, row):
+            assert value is None or type(value) is KIND_OF[type(col.type)]
+
+
+@settings(max_examples=150)
+@given(st.lists(st.sampled_from(DECLARED), min_size=1, max_size=3),
+       st.lists(st.lists(st.sampled_from(LITERALS), min_size=3, max_size=3),
+                max_size=4),
+       st.lists(st.sampled_from(CELLS), min_size=3, max_size=3))
+def test_stored_values_have_their_declared_kind(declared, inserts, cells):
+    """INSERT, MODIFY and loads store only values of the declared kind."""
+    session = make_session()
+    columns = ", ".join(f"C{i} {t}" for i, t in enumerate(declared))
+    run_sql(session, f"CREATE TABLE T({columns})")
+    for literals in inserts:
+        values = ", ".join(literals[:len(declared)])
+        run_sql(session, f"INSERT INTO T VALUES({values})")
+    if declared[0] == "VARCHAR(3)":
+        run_sql(session, "ALTER TABLE T MODIFY C0 VARCHAR2(9)")
+    table = session.db.tables["T"]
+    assert_declared_kinds(table, table.rows)
+
+    text = saves(session.db)
+    assert_declared_kinds(table, loads(text).tables["T"].rows)
+    try:
+        edited = loads(text + "\t".join(cells[:len(declared)]) + "\n")
+    except SnapshotError:
+        return
+    assert_declared_kinds(table, edited.tables["T"].rows)
+
+
+def test_builtin_rows_have_their_declared_kind():
+    session = make_session()
+    for text in ("CREATE TABLE T(A NUMBER(3), B VARCHAR2(5))",
+                 "ALTER TABLE T ADD CONSTRAINT PK_T PRIMARY KEY (A)",
+                 "ALTER TABLE T ADD CONSTRAINT CH_T CHECK (B != 'x')",
+                 "ALTER TABLE T MODIFY B VARCHAR2(5) NOT NULL"):
+        assert run_sql(session, text)[1].startswith("Table")
+    for table, rows_of in BUILTINS.values():
+        rows = rows_of(session.db)
+        assert rows
+        assert_declared_kinds(table, rows)

@@ -116,6 +116,37 @@ def test_null_marker_distinct_from_text():
     assert literal.tables["T"].rows == [["\\N"]]
 
 
+def test_empty_text_of_a_one_column_table_reloads():
+    db = build_db("CREATE TABLE T(A VARCHAR2(10))",
+                  "INSERT INTO T VALUES('')", "INSERT INTO T VALUES('ROWS T')",
+                  "INSERT INTO T VALUES('x')")
+    rows = [[""], ["ROWS T"], ["x"]]
+    assert db.tables["T"].rows == rows
+    text = saves(db)
+    assert text.endswith("ROWS T\n\\e\n\\eROWS T\nx\n")
+    assert loads(text).tables["T"].rows == rows
+    assert saves(loads(text)) == text
+
+
+def test_first_cell_that_looks_like_a_header_reloads():
+    db = build_db("CREATE TABLE U(A VARCHAR2(10), B NUMBER)",
+                  "INSERT INTO U VALUES('ROWS U', 1)",
+                  "INSERT INTO U VALUES('', 2)",
+                  "INSERT INTO U VALUES('ROWS', 3)")
+    text = saves(db)
+    # An empty first cell of a wider row leaves the line non-blank.
+    assert text.endswith("ROWS U\n\\eROWS U\t1\n\t2\nROWS\t3\n")
+    copy = loads(text)
+    assert copy.tables["U"].rows == db.tables["U"].rows
+    assert saves(copy) == text
+
+
+def test_lead_escape_reads_as_nothing_in_any_cell():
+    assert loads("HANDYDB 1\nTABLE T\nCOL A VARCHAR2(5) NULL\n"
+                 "COL B VARCHAR2(5) NULL\nROWS T\n\\ea\tb\\e\n"
+                 ).tables["T"].rows == [["a", "b"]]
+
+
 def reject(text, needle):
     with pytest.raises(SnapshotError) as info:
         loads(text)
