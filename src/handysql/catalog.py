@@ -12,7 +12,7 @@ list stays empty, and a function from the database to its rows.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import constraints as checks
@@ -136,20 +136,39 @@ BUILTINS: dict[str, tuple[Table,
 }
 
 
+Position = tuple[int, int]  # (line, column)
+
+
+def define_table(db: Database, name: str,
+                 columns: Iterable[tuple[ColumnSchema, Position]],
+                 at: Position) -> None:
+    """Add a new, empty table to db: CREATE TABLE and snapshots alike.
+
+    A name that a stored table or a built-in already has is 955 at
+    `at`, and a column name that an earlier column has is 957 at its
+    own position.  columns is read one by one after the name passes;
+    nothing is added unless every column does.
+    """
+    if name in db.tables or name in BUILTINS:
+        raise OraError(955, *at)
+    table = Table(name, [])
+    for col, pos in columns:
+        if table.find(col.name) is not None:
+            raise OraError(957, *pos)
+        table.columns.append(col)
+    db.tables[name] = table
+
+
 def create_table(db: Database, stmt: CreateTable) -> str:
-    if stmt.table in db.tables or stmt.table in BUILTINS:
-        raise OraError(955, stmt.line, stmt.column)
-    seen: set[str] = set()
-    columns: list[ColumnSchema] = []
-    for clause in stmt.columns:
-        if clause.name in seen:
-            raise OraError(957, clause.line, clause.column)
-        seen.add(clause.name)
-        spec = clause.type_spec
-        sql_type = normalize_type(spec.keyword, spec.args,
-                                  spec.line, spec.column)
-        columns.append(ColumnSchema(clause.name, sql_type))
-    db.tables[stmt.table] = Table(stmt.table, columns)
+    def columns() -> Iterator[tuple[ColumnSchema, Position]]:
+        for clause in stmt.columns:
+            spec = clause.type_spec
+            sql_type = normalize_type(spec.keyword, spec.args,
+                                      spec.line, spec.column)
+            yield ColumnSchema(clause.name, sql_type), (clause.line,
+                                                        clause.column)
+
+    define_table(db, stmt.table, columns(), (stmt.line, stmt.column))
     return "Table created."
 
 

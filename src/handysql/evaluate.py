@@ -100,16 +100,7 @@ def compile_predicate(pred: Predicate, slot_of: Mapping[ColumnRef, int],
                         return TRUE
                     return UNKNOWN
                 return conjunction, raises
-
-            def short_conjunction(row: Row) -> Tristate:
-                a = left(row)
-                if a is FALSE:
-                    return FALSE
-                b = right(row)
-                if a is TRUE or b is FALSE:
-                    return b
-                return UNKNOWN
-            return short_conjunction, raises
+            return conjoin(left, right), raises
         if right_raises:
             def disjunction(row: Row) -> Tristate:
                 a = left(row)
@@ -131,6 +122,22 @@ def compile_predicate(pred: Predicate, slot_of: Mapping[ColumnRef, int],
             return UNKNOWN
         return short_disjunction, raises
     raise AssertionError(f"unknown predicate {pred!r}")
+
+
+def conjoin(left: Test, right: Test) -> Test:
+    """left AND right, for a right that cannot raise.
+
+    right runs only on rows where left is not FALSE.
+    """
+    def short_conjunction(row: Row) -> Tristate:
+        a = left(row)
+        if a is FALSE:
+            return FALSE
+        b = right(row)
+        if a is TRUE or b is FALSE:
+            return b
+        return UNKNOWN
+    return short_conjunction
 
 
 def _compile_expr(expr: Expr, slot_of: Mapping[ColumnRef, int],

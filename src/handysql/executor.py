@@ -5,20 +5,27 @@ statements to it.  An insert appends to its table's rows only after
 every constraint has passed.
 
 A select is planned once and then run as a stream of rows.  Planning
-binds every column reference to a slot of the combined row and compiles
-ON, WHERE and the select list into functions of that row.  When neither
-ON nor WHERE can raise, a join places each top-level AND conjunct where
-its columns first meet: one naming a single table filters that table's
+binds every column reference to a slot of the combined row.  A join
+compiles each top-level AND conjunct of ON and WHERE once, at the slots
+of the rows it filters, and when none can raise places each where its
+columns first meet: one naming a single table filters that table's
 rows before the join, the first equality of each later table with an
 earlier one becomes its hash join key, and the rest filter the joined
-rows.  Otherwise the whole product is filtered by ON, then WHERE, so
-errors come as from a plain nested loop.  Running pulls rows through
-generators, left to right over the FROM list, and keeps nested-loop
-order: rows follow the first table's insertion order, then the second
-table's within each, and so on.  A comma join with a WHERE filter is
-the same computation as INNER JOIN ... ON.  Join output is all
-left-table columns then all right-table columns, in schema order, names
-un-renamed.
+rows.  Otherwise, and for a single table, ON and WHERE are compiled
+whole and filter the whole product, ON first, so errors come as from a
+plain nested loop.  Running pulls rows through generators, left to
+right over the FROM list, and keeps nested-loop order: rows follow the
+first table's insertion order, then the second table's within each,
+and so on.  A comma join with a WHERE filter is the same computation
+as INNER JOIN ... ON.  Join output is all left-table columns then all
+right-table columns, in schema order, names un-renamed.
+
+The select list is read only once every filtered row is in hand, so
+each filter error comes before any of its errors.  A list of columns
+becomes one itemgetter over the rows.  An aggregate list reads each
+argument column out once, without its NULLs, and folds it with the
+builtins len, min, max and sum: the column's declared type fixes the
+kind of every value, so no value's kind is checked.
 """
 
 from __future__ import annotations
@@ -28,13 +35,15 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import catalog as cat_mod
 from .catalog import ColumnSchema, Database, Table
 from .constraints import check_row
 from .errors import OraError, violation_error
 from .evaluate import (
-    TRUE, Test, compile_predicate, eval_predicate, predicate_nodes,
+    TRUE, Test, compile_predicate, conjoin, eval_predicate, predicate_nodes,
 )
 from .nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, BoolOp, ColumnRef,
@@ -43,7 +52,7 @@ from .nodes import (
 )
 from .render import render_expr
 from .values import (
-    SqlType, SqlValue, codec, exact_sum, round_significant,
+    NumberType, SqlType, SqlValue, codec, exact_sum, round_significant,
 )
 
 Row = list[SqlValue]
@@ -187,9 +196,45 @@ class _Scope:
 
 
 def _conjuncts(pred: Predicate) -> list[Predicate]:
-    if isinstance(pred, BoolOp) and pred.op == "AND":
-        return _conjuncts(pred.left) + _conjuncts(pred.right)
-    return [pred]
+    """The operands of pred's top-level ANDs, parenthesised ones too.
+
+    They come in syntax order, from a loop rather than a recursion, so
+    a long AND chain costs no stack depth.
+    """
+    conjs: list[Predicate] = []
+    stack = [pred]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BoolOp) and node.op == "AND":
+            stack += (node.right, node.left)
+        else:
+            conjs.append(node)
+    return conjs
+
+
+class _Conjunct(NamedTuple):
+    pred: Predicate
+    slots: list[int]  # of its columns in the combined row, syntax order
+    named: list[int]  # the sources it names, ascending
+    test: Test  # compiled at the slots where it runs
+    raises: bool
+
+
+def _compiled(scope: _Scope, conj: Predicate, slot_of: dict[ColumnRef, int],
+              type_of: Callable[[ColumnRef], SqlType]) -> _Conjunct:
+    """conj compiled once, at the slots of the rows it filters.
+
+    A conjunct naming one source filters that source's own rows, and
+    any other the combined rows.
+    """
+    refs = predicate_nodes(conj, ColumnRef)
+    slots = [slot_of[ref] for ref in refs]
+    named = sorted({scope.column_at(slot)[0] for slot in slots})
+    offset = scope.sources[named[0]].offset if len(named) == 1 else 0
+    test, raises = compile_predicate(
+        conj, {ref: slot - offset for ref, slot in zip(refs, slots)},
+        type_of)
+    return _Conjunct(conj, slots, named, test, raises)
 
 
 def execute_select(db: Database, stmt: Select) -> ResultSet:
@@ -199,20 +244,15 @@ def execute_select(db: Database, stmt: Select) -> ResultSet:
     if stmt.items is None:
         headers = [c.name for s in scope.sources for c in s.table.columns]
         # Copies, so no caller ever holds a stored row.
-        return ResultSet(headers, [row.copy() for row in matching])
+        return ResultSet(headers, list(map(list.copy, matching)))
 
     # Every filter error comes before any select-list error.
     rows = list(matching)
 
-    aggregated = any(isinstance(item.expr, AggregateCall)
-                     for item in stmt.items)
     headers = [_item_header(item) for item in stmt.items]
-    if aggregated:
-        row = [_eval_aggregate_item(item, rows, scope)
-               for item in stmt.items]
-        return ResultSet(headers, [row])
-
-    return ResultSet(headers, list(map(_projection(stmt, scope), rows)))
+    if any(isinstance(item.expr, AggregateCall) for item in stmt.items):
+        return ResultSet(headers, [_folded(stmt, rows, scope)])
+    return ResultSet(headers, _projected(stmt, rows, scope))
 
 
 def _matching_rows(scope: _Scope, on: Predicate | None,
@@ -222,90 +262,84 @@ def _matching_rows(scope: _Scope, on: Predicate | None,
     Errors come in the order of a nested loop that filters the whole
     product by ON before it looks at WHERE: ON columns (904/918), ON
     evaluation, WHERE aggregates (934), WHERE columns, WHERE evaluation.
-    When neither predicate can raise, no error can come after planning,
-    and a join runs as _pushed_down.
+    A join compiles each top-level AND conjunct once, where it runs,
+    and while none can raise, no error can come after planning and the
+    rows come from _pushed_down.  Otherwise ON and WHERE are compiled
+    whole and filter the product.
     """
-    slot_of = scope.bind(on) if on is not None else {}
+    slot_of: dict[ColumnRef, int] = {}
     type_of = scope.type_of(slot_of)
     rows = _joined([source.rows for source in scope.sources])
-    tests: list[Test] = []
-    raises = False
-    if on is not None:
-        test, raises = compile_predicate(on, slot_of, type_of)
-        if raises:
+    # None once the filters run whole over the product.
+    placed: list[_Conjunct] | None = [] if len(scope.sources) > 1 else None
+    for pred in (on, where):
+        if pred is None:
+            continue
+        if pred is where:
+            aggs = predicate_nodes(where, AggregateCall)
+            if aggs:
+                raise OraError(934, aggs[0].line, aggs[0].column)
+        slot_of.update(scope.bind(pred))
+        if placed is not None:
+            conjs = [_compiled(scope, conj, slot_of, type_of)
+                     for conj in _conjuncts(pred)]
+            if not any(conj.raises for conj in conjs):
+                placed += conjs
+                continue
+            if pred is where and on is not None:
+                # ON's conjuncts were placed; it runs whole, before WHERE.
+                rows = _passing(rows,
+                                compile_predicate(on, slot_of, type_of)[0])
+            placed = None
+        rows = _passing(rows, compile_predicate(pred, slot_of, type_of)[0])
+        if pred is on:
             # ON errors outrank every WHERE error, so ON runs over the
             # whole product before WHERE is even resolved.
-            rows = list(_passing(rows, test))
-        else:
-            tests.append(test)
-    if where is not None:
-        aggs = predicate_nodes(where, AggregateCall)
-        if aggs:
-            raise OraError(934, aggs[0].line, aggs[0].column)
-        slot_of.update(scope.bind(where))
-        test, where_raises = compile_predicate(where, slot_of, type_of)
-        raises = raises or where_raises
-        tests.append(test)
-    if len(scope.sources) > 1 and not raises:
-        return _pushed_down(scope, [p for p in (on, where) if p], slot_of)
-    for test in tests:
-        rows = _passing(rows, test)
-    return rows
+            rows = list(rows)
+    return rows if placed is None else _pushed_down(scope, placed)
 
 
-def _pushed_down(scope: _Scope, preds: list[Predicate],
-                 slot_of: dict[ColumnRef, int]) -> Iterable[Row]:
+def _pushed_down(scope: _Scope, conjs: list[_Conjunct]) -> Iterable[Row]:
     """A join's rows, each filter placed where it first has its columns.
 
-    preds cannot raise, so their top-level AND conjuncts may run in any
-    order and on any subset of the product that holds their columns.  A
-    conjunct naming at most one source filters that source's own rows
-    before the join.  For each later source, the first equality x = y
-    with y in it and x in an earlier one becomes its hash join key: the
-    hash join yields exactly the pairs where it is TRUE, so it is not
-    evaluated again.  Each other conjunct filters the joined rows as
-    soon as the last source it names has been joined.
+    No conjunct can raise, so they may run in any order and on any
+    subset of the product that holds their columns.  A conjunct naming
+    at most one source filters that source's own rows before the join.
+    For each later source, the first equality x = y with y in it and x
+    in an earlier one becomes its hash join key: the hash join yields
+    exactly the pairs where it is TRUE, so it is not evaluated again.
+    Each other conjunct filters the joined rows as soon as the last
+    source it names has been joined.  The conjuncts of one place run as
+    one AND, in syntax order.
     """
     n = len(scope.sources)
-    before: list[list[Predicate]] = [[] for _ in range(n)]
-    after: list[list[Predicate]] = [[] for _ in range(n)]
+    before: list[list[Test]] = [[] for _ in range(n)]
+    after: list[list[Test]] = [[] for _ in range(n)]
     keys: dict[int, tuple[int, int]] = {}
-    for conj in [c for pred in preds for c in _conjuncts(pred)]:
-        refs = predicate_nodes(conj, ColumnRef)
-        named = sorted({scope.column_at(slot_of[ref])[0] for ref in refs})
-        if len(named) <= 1:
-            before[named[0] if named else 0].append(conj)
+    for conj in conjs:
+        if len(conj.named) <= 1:
+            before[conj.named[0] if conj.named else 0].append(conj.test)
             continue
-        last = named[-1]
-        if (isinstance(conj, Comparison) and conj.op == "="
-                and len(refs) == 2 and last not in keys):
+        last = conj.named[-1]
+        if (isinstance(conj.pred, Comparison) and conj.pred.op == "="
+                and len(conj.slots) == 2 and last not in keys):
             # Slots grow with the source index, so left is the earlier.
-            left, right = sorted(slot_of[ref] for ref in refs)
+            left, right = sorted(conj.slots)
             keys[last] = (left, right - scope.sources[last].offset)
         else:
-            after[last].append(conj)
+            after[last].append(conj.test)
 
-    type_of = scope.type_of(slot_of)
     inputs: list[Iterable[Row]] = []
     for i, source in enumerate(scope.sources):
         rows: Iterable[Row] = source.rows
         if before[i]:
-            # Slots within the source's own row.
-            local = {ref: slot - source.offset
-                     for ref, slot in slot_of.items()}
-            test, _ = compile_predicate(_conjunction(before[i]), local,
-                                        type_of)
-            rows = _passing(rows, test)
+            rows = _passing(rows, functools.reduce(conjoin, before[i]))
             if i:
                 rows = list(rows)
         inputs.append(rows)
-    filters = {i: compile_predicate(_conjunction(conjs), slot_of, type_of)[0]
-               for i, conjs in enumerate(after) if conjs}
+    filters = {i: functools.reduce(conjoin, tests)
+               for i, tests in enumerate(after) if tests}
     return _joined(inputs, keys, filters)
-
-
-def _conjunction(conjs: list[Predicate]) -> Predicate:
-    return functools.reduce(lambda a, b: BoolOp("AND", a, b), conjs)
 
 
 def _joined(inputs: list[Iterable[Row]],
@@ -368,58 +402,77 @@ def _item_header(item) -> str:
     return render_expr(item.expr)
 
 
-def _projection(stmt: Select, scope: _Scope) -> Callable[[Row], Row]:
-    """The select list as one function from a combined row to a row."""
+def _projected(stmt: Select, rows: list[Row], scope: _Scope) -> list[Row]:
+    """The select list's values of each row.
+
+    A list of columns alone is one itemgetter, a slice when the slots
+    are adjacent and in order, which copies them in one step.
+    """
     cells: list[tuple[int | None, SqlValue]] = []  # (slot, constant)
     for item in stmt.items:
-        expr = item.expr
-        if isinstance(expr, ColumnRef):
-            cells.append((scope.resolve(expr), None))
-        elif isinstance(expr, Literal):
-            cells.append((None, expr.value))
+        if isinstance(item.expr, ColumnRef):
+            cells.append((scope.resolve(item.expr), None))
         else:
-            raise OraError(937, expr.line, expr.column)
-    return lambda row: [row[slot] if slot is not None else const
-                        for slot, const in cells]
+            cells.append((None, item.expr.value))
+    slots = [slot for slot, _ in cells]
+    if None in slots:
+        return [[row[slot] if slot is not None else const
+                 for slot, const in cells] for row in rows]
+    first = slots[0]
+    if slots == list(range(first, first + len(slots))):
+        return list(map(itemgetter(slice(first, first + len(slots))), rows))
+    return list(map(list, map(itemgetter(*slots), rows)))
 
 
-def _eval_aggregate_item(item, rows: list[Row], scope: _Scope) -> SqlValue:
-    expr = item.expr
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        raise OraError(937, expr.line, expr.column)
-    assert isinstance(expr, AggregateCall)
-    if expr.arg is None:
-        return eval_aggregate("COUNT", [None] * len(rows), star=True)
-    slot = scope.resolve(expr.arg)
-    return eval_aggregate(expr.func, [row[slot] for row in rows])
+def _folded(stmt: Select, rows: list[Row], scope: _Scope) -> Row:
+    """The one row of an aggregate select list, item by item.
 
-
-def eval_aggregate(func: str, values: list[SqlValue],
-                   star: bool = False) -> SqlValue:
-    """Fold one column of values.
-
-    NULLs are skipped everywhere except COUNT(*), which counts rows.
-    Aggregates over no non-null input are NULL, except COUNT which is 0.
-    AVG uses an exact rational intermediate, then rounds half-up to 38
-    significant digits.
+    A column may stand only inside an aggregate (937).  The values of
+    each distinct argument column are read out once, without their
+    NULLs, and COUNT(*) counts the rows.
     """
-    if star:
-        return Decimal(len(values))
-    present = [v for v in values if v is not None]
+    present: dict[int, list[SqlValue]] = {}
+    folded: Row = []
+    for item in stmt.items:
+        expr = item.expr
+        if isinstance(expr, Literal):
+            folded.append(expr.value)
+        elif isinstance(expr, ColumnRef):
+            raise OraError(937, expr.line, expr.column)
+        elif expr.arg is None:
+            folded.append(Decimal(len(rows)))
+        else:
+            slot = scope.resolve(expr.arg)
+            if slot not in present:
+                present[slot] = [v for v in map(itemgetter(slot), rows)
+                                 if v is not None]
+            folded.append(eval_aggregate(expr.func, present[slot],
+                                         scope.column_at(slot)[1].type))
+    return folded
+
+
+def eval_aggregate(func: str, present: list[SqlValue],
+                   sql_type: SqlType) -> SqlValue:
+    """Fold the non-NULL values of one column of a declared type.
+
+    Every value has its type's kind, so MIN and MAX compare them as
+    they are.  Over no values COUNT is 0 and the others are NULL.  SUM
+    and AVG over a non-NUMBER column raise 1722 when there is a value.
+    AVG divides the exact sum once, as a rational, then rounds half-up
+    to 38 significant digits.
+    """
     if func == "COUNT":
         return Decimal(len(present))
     if not present:
         return None
-    if func in ("MIN", "MAX"):
-        kinds = {type(v) for v in present}
-        if len(kinds) > 1:
-            raise OraError(932)
-        return min(present) if func == "MIN" else max(present)
-    if not all(isinstance(v, Decimal) for v in present):
+    if func == "MIN":
+        return min(present)
+    if func == "MAX":
+        return max(present)
+    if not isinstance(sql_type, NumberType):
         raise OraError(1722)
+    total = exact_sum(present)
     if func == "SUM":
-        return exact_sum(present)
+        return total
     assert func == "AVG"
-    return round_significant(Fraction(exact_sum(present)) / len(present))
+    return round_significant(Fraction(total) / len(present))

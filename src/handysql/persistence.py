@@ -28,7 +28,10 @@ COL line is derived from the constraint list when saving and, on
 loading, must match what the constraints imply.  Loading rebuilds one
 Database record, tables holding their rows, and re-validates every row
 against its column types and all constraints, so a snapshot edited into
-an inconsistent state is rejected rather than trusted.
+an inconsistent state is rejected rather than trusted.  Each table goes
+through catalog.define_table, as CREATE TABLE's do: a name in use, the
+built-ins' included (955), or a repeated column name (957) is an error
+that names its line.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import re
 from collections.abc import Callable
 
 from .catalog import (
-    ColumnSchema, ConstraintDef, Database, Table, check_constraint,
+    ColumnSchema, ConstraintDef, Database, Position, Table, check_constraint,
+    define_table,
 )
 from .constraints import not_null_sources, validate_existing
 from .errors import OraError
@@ -177,7 +181,9 @@ def loads(text: str) -> Database:
     if lines[0] != _MAGIC:
         raise SnapshotError("not a database snapshot")
     db = Database()
-    current: Table | None = None
+    # A TABLE line's name, line number and columns, defined at the
+    # first line after it that is not a COL line.
+    pending: tuple[str, int, list[tuple[ColumnSchema, Position]]] | None = None
     # The rows of the current ROWS section and their decoder.
     rows: list[list[SqlValue]] | None = None
     decode_row: Callable[[str], list[SqlValue]] | None = None
@@ -188,16 +194,16 @@ def loads(text: str) -> Database:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
+        if pending is not None and not line.startswith("COL "):
+            _define(db, *pending)
+            pending = None
         if rows is not None and not line.startswith("ROWS "):
             rows.append(decode_row(line))
         elif line.startswith("TABLE "):
-            name = line[6:]
-            if name in db.tables:
-                raise SnapshotError(f"duplicate table {name}")
-            current = db.tables[name] = Table(name, [])
-            flagged[name] = set()
+            pending = (line[6:], lineno, [])
+            flagged[line[6:]] = set()
         elif line.startswith("COL "):
-            if current is None:
+            if pending is None:
                 raise SnapshotError(f"line {lineno}: COL outside TABLE")
             parts = line.split(" ")
             if len(parts) != 4 or parts[3] not in ("NOTNULL", "NULL"):
@@ -208,9 +214,9 @@ def loads(text: str) -> Database:
             except ValueError:
                 raise SnapshotError(
                     f"line {lineno}: bad type {tdisplay}") from None
-            current.columns.append(ColumnSchema(cname, ctype))
+            pending[2].append((ColumnSchema(cname, ctype), (lineno, 1)))
             if null == "NOTNULL":
-                flagged[current.name].add(cname)
+                flagged[pending[0]].add(cname)
         elif line.startswith("CONSTRAINT "):
             parts = line.split(" ", 4)
             if len(parts) != 5:
@@ -250,6 +256,8 @@ def loads(text: str) -> Database:
             decode_row = _row_decoder(db.tables[name])
         else:
             raise SnapshotError(f"line {lineno}: unexpected line {line!r}")
+    if pending is not None:
+        _define(db, *pending)
 
     for idx, cname, table, body in pending_checks:
         try:
@@ -262,6 +270,15 @@ def loads(text: str) -> Database:
 
     _validate(db, flagged)
     return db
+
+
+def _define(db: Database, name: str, lineno: int,
+            columns: list[tuple[ColumnSchema, Position]]) -> None:
+    """A TABLE line's table, checked as CREATE TABLE checks it."""
+    try:
+        define_table(db, name, columns, (lineno, 1))
+    except OraError as err:
+        raise SnapshotError(f"line {err.line}: table {name}: {err}") from None
 
 
 def load(path: str) -> Database:

@@ -5,8 +5,10 @@ and numbering restarts for every statement.  A statement ends with a
 line whose last character is ";" or with a lone "/" line.  When input
 is not a terminal every consumed line is echoed after its prompt, so a
 piped session writes the exact transcript a script run would.  A
-result set is drawn column by column in each column's display, numbers
-right-aligned.
+result set is drawn column by column: a column holds one kind of value,
+so its first non-NULL value picks the display of all (plain positional
+numbers, right-aligned; DD-MON-YY dates; text as it is), and each
+column is padded to its widest cell.
 """
 
 from __future__ import annotations

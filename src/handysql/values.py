@@ -9,7 +9,9 @@ A column's type fixes the kind of every value it holds, so each type
 has one Codec, built on first use: INSERT coercion, the snapshot cell
 in both directions, and the result-set text.  Callers look it up by the
 column's current type, so a MODIFY that widens the type needs nothing
-else.
+else.  Number text is str's, unless str writes an exponent, and date
+text is put together from precomputed day, month and year parts, since
+both run once per cell of a result set or a snapshot.
 """
 
 from __future__ import annotations
@@ -151,14 +153,26 @@ def parse_date_text(text: str) -> datetime.date:
         raise OraError(1858) from None
 
 
+# The three parts of a DD-MON-YY text, by day, month and year % 100.
+_DAY_TEXTS = tuple(f"{day:02d}-" for day in range(32))
+_MONTH_TEXTS = ("", *(f"{name}-" for name in _MONTHS))
+_YEAR_TEXTS = tuple(f"{year:02d}" for year in range(100))
+
+
 def format_date(d: datetime.date) -> str:
     """DD-MON-YY with an uppercase month, the fixed output form."""
-    return f"{d.day:02d}-{_MONTHS[d.month - 1]}-{d.year % 100:02d}"
+    return (_DAY_TEXTS[d.day] + _MONTH_TEXTS[d.month]
+            + _YEAR_TEXTS[d.year % 100])
 
 
 def format_number(value: Decimal) -> str:
-    """Plain decimal text, never scientific notation."""
-    return format(value, "f")
+    """Plain decimal text, never scientific notation.
+
+    str gives exactly that text unless it writes an exponent, at a
+    fraction of the cost of format(value, "f")'s.
+    """
+    text = str(value)
+    return format(value, "f") if "E" in text else text
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,7 +286,10 @@ def _decode_date(text: str) -> datetime.date:
 
 
 def _number_text(value: Decimal) -> str:
-    return format(value if value else value.copy_abs(), "f")
+    if not value:
+        value = value.copy_abs()
+    text = str(value)
+    return format(value, "f") if "E" in text else text
 
 
 def escape_text(text: str) -> str:
@@ -311,9 +328,5 @@ def round_significant(value: Fraction, digits: int = MAX_PRECISION) -> Decimal:
 
 def exact_sum(values: list[Decimal]) -> Decimal:
     """Sum decimals with enough working precision to stay exact."""
-    with localcontext() as ctx:
-        ctx.prec = _EXACT_PRECISION
-        total = Decimal(0)
-        for v in values:
-            total += v
-    return total
+    with localcontext(_EXACT):
+        return sum(values, Decimal(0))

@@ -18,7 +18,9 @@ The SELECT oracle, the tree-walking predicate evaluator and the
 statement renderer are the exceptions to the tuple shapes: they work on
 parsed statement trees.  So are the per-value codec oracles, which ask
 every value its kind, as the engine did before it built one codec per
-column type: they work on the engine's values and types.
+column type: they work on the engine's values and types.  They write a
+number from its Decimal digits and a date from its ISO text, sharing no
+formatter with the engine.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from handysql.nodes import (AggregateCall, AlterAddConstraint, AlterModify,
                             UniqueBody)
 from handysql.persistence import SnapshotError
 from handysql.render import render_expr, render_predicate
-from handysql.values import (DateType, NumberType, Varchar2Type, format_date,
-                             format_number, parse_date_text)
+from handysql.values import (DateType, NumberType, Varchar2Type,
+                             parse_date_text)
 
 TRUE, FALSE, UNKNOWN = "T", "F", "U"
 
@@ -50,6 +52,32 @@ _MONTH_NAMES = ("JAN", "FEB", "MAR", "APR", "MAY", "JUN",
 
 def date_literal_text(d: datetime.date) -> str:
     return f"{d.day:02d}-{_MONTH_NAMES[d.month - 1]}-{d.year:04d}"
+
+
+def date_text(d: datetime.date) -> str:
+    """DD-MON-YY, cut out of the ISO text."""
+    iso = d.isoformat()  # YYYY-MM-DD, the year padded to four digits
+    return f"{iso[8:10]}-{_MONTH_NAMES[int(iso[5:7]) - 1]}-{iso[2:4]}"
+
+
+def number_text(value: Decimal) -> str:
+    """Plain positional text of a finite decimal, by integer arithmetic.
+
+    The coefficient's digits times ten to the exponent: trailing zeros
+    for a positive exponent, and otherwise exactly -exponent digits
+    after the point.  A negative zero keeps its sign.
+    """
+    sign, digits, exponent = value.as_tuple()
+    coefficient = 0
+    for digit in digits:
+        coefficient = coefficient * 10 + digit
+    if exponent >= 0:
+        text = str(coefficient * 10 ** exponent)
+    else:
+        whole, fraction = divmod(coefficient, 10 ** -exponent)
+        text = f"{whole}.{str(fraction).rjust(-exponent, '0')}"
+    return "-" + text if sign else text
+
 
 _KEYWORDS = {
     "SELECT", "FROM", "WHERE", "CREATE", "TABLE", "DESC", "DESCRIBE",
@@ -663,7 +691,7 @@ def escape_cell(value) -> str:
     if value is None:
         return "\\N"
     if isinstance(value, Decimal):
-        return format_number(value)
+        return number_text(value)
     if isinstance(value, datetime.date):
         return value.isoformat()
     return (value.replace("\\", "\\\\")
@@ -720,10 +748,10 @@ def cell_text(value) -> str:
     if value is None:
         return ""
     if isinstance(value, Decimal):
-        return format_number(value)
+        return number_text(value)
     if isinstance(value, str):
         return value
-    return format_date(value)
+    return date_text(value)
 
 
 def render_result_set(headers: list[str], rows: list[list]) -> list[str]:

@@ -172,7 +172,11 @@ def _random_join_query(rng, tables):
     an unknown or ambiguous column, an aggregate in a predicate, SUM or
     AVG over text, or a plain column beside an aggregate in the select
     list.  Half the queries also filter every source on its own
-    columns, which the engine runs before the join.
+    columns, which the engine runs before the join.  A tenth hold an
+    error in both the filter and the select list (an unknown column,
+    904 or 937), so that the filter's must come first.  Returns the
+    shape, whether sources are filtered alone, whether both hold an
+    error, and the text.
     """
     (ta, *_), (tb, *_), (tc, *_) = tables
     shape = rng.choice(["comma2", "comma3", "self", "inner"])
@@ -256,9 +260,11 @@ def _random_join_query(rng, tables):
         op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
         return f"{text} {op} {ref.sql_literal(value)}"
 
-    def conjunction(own=()):
+    def conjunction(own=(), planted=False):
         parts = [piece() for _ in range(rng.randint(1, 3))]
         parts += [own_filter(source) for source in own]
+        if planted:
+            parts.append(error())
         rng.shuffle(parts)
         return " AND ".join(parts)
 
@@ -287,17 +293,21 @@ def _random_join_query(rng, tables):
         items = ", ".join(chosen)
     # Half the queries filter every source on its own columns too.
     own = cols if rng.random() < 0.5 else []
+    # A tenth put an error in both the select list and the filter.
+    both = rng.random() < 0.1
+    if both:
+        items = (column()[0] if items == "*" else items) + ", NO_SUCH_COLUMN"
     if shape == "inner":
         split = rng.randint(0, len(own))
         text = (f"SELECT {items} FROM {froms[0]} INNER JOIN {froms[1]} "
-                f"ON {conjunction(own[:split])}")
+                f"ON {conjunction(own[:split], both)}")
         if rng.random() < 0.5 or own[split:]:
             text += f" WHERE {conjunction(own[split:])}"
-        return shape, bool(own), text
+        return shape, bool(own), both, text
     text = f"SELECT {items} FROM {', '.join(froms)}"
-    if rng.random() < 0.9 or own:
-        text += f" WHERE {conjunction(own)}"
-    return shape, bool(own), text
+    if rng.random() < 0.9 or own or both:
+        text += f" WHERE {conjunction(own, both)}"
+    return shape, bool(own), both, text
 
 
 def _cells(rows):
@@ -346,7 +356,7 @@ def test_criterion_06_join_forms_agree():
         stored = {name: (list(db.tables[name].column_names()),
                          db.tables[name].rows) for name, *_ in tables}
         for _ in range(4):
-            shape, filtered, text = _random_join_query(rng, tables)
+            shape, filtered, both, text = _random_join_query(rng, tables)
             stmt = parse_text(text)
             try:
                 want = ("rows", _cells(ref.nested_loop_select(stored, stmt)))
@@ -362,6 +372,13 @@ def test_criterion_06_join_forms_agree():
             seen[shape, outcome] += 1
             if filtered:
                 seen["filtered", outcome] += 1
+            if both:
+                # The select list's planted error, at its own position,
+                # shows only when the filter's raised on no row.
+                listed = (1, text.index(", NO_SUCH_COLUMN") + 3)
+                if want[0] == "error":
+                    seen["both", "select" if want[1][1:] == listed
+                         else "filter"] += 1
             if "SUM(" in text or "AVG(" in text:
                 # Only SUM or AVG over text fails at (1, 1).
                 over_text = want == ("error", (1722, 1, 1))
@@ -377,6 +394,8 @@ def test_criterion_06_join_forms_agree():
     assert seen["sum_avg", "rows"] >= 200, seen
     assert seen["sum_avg", "text"] >= 5, seen
     assert sum(n for (_, code), n in seen.items() if code == 937) >= 5, seen
+    assert seen["both", "filter"] >= 200, seen
+    assert seen["both", "select"] >= 50, seen
 
 
 def test_criterion_07_aggregate_identities():
@@ -387,18 +406,17 @@ def test_criterion_07_aggregate_identities():
                 else ref.gen_number(rng, precision=rng.randint(1, 7),
                                     scale=rng.choice([0, 0, 1, 2, 3, 4]))
                 for _ in range(n)]
-        engine_vals = [to_decimal(v) for v in vals]
-        assert eval_aggregate("COUNT", engine_vals) == \
+        present = [to_decimal(v) for v in vals if v is not None]
+        assert eval_aggregate("COUNT", present, _TYPES["number"]) == \
             Decimal(ref.fold_count(vals))
-        assert eval_aggregate("COUNT", engine_vals, star=True) == Decimal(n)
         for func, fold in (("MIN", ref.fold_min), ("MAX", ref.fold_max)):
-            got = eval_aggregate(func, engine_vals)
+            got = eval_aggregate(func, present, _TYPES["number"])
             want = fold(vals)
             assert (got is None) == (want is None)
             if got is not None:
                 assert Fraction(got) == Fraction(want)
-        total = eval_aggregate("SUM", engine_vals)
-        mean = eval_aggregate("AVG", engine_vals)
+        total = eval_aggregate("SUM", present, _TYPES["number"])
+        mean = eval_aggregate("AVG", present, _TYPES["number"])
         exact_sum = ref.fold_sum(vals)
         exact_mean = ref.fold_avg(vals)
         if exact_sum is None:

@@ -21,7 +21,9 @@ from handysql import catalog, constraints
 from handysql.catalog import ColumnSchema, Table
 from handysql.errors import OraError
 from handysql.executor import ResultSet
+from handysql.nodes import Literal
 from handysql.persistence import SnapshotError, _row_decoder, loads, saves
+from handysql.render import render_expr
 from handysql.shell import render_result_set
 from handysql.values import (
     MAX_PRECISION, DateType, NumberType, Varchar2Type, codec, value_codec,
@@ -214,6 +216,27 @@ def test_display_matches_the_oracle(value):
         expected = expected.lstrip("-")
     assert kind.display(value) == expected
     assert kind.right_aligned == isinstance(value, Decimal)
+
+
+# 1-40 digits, leading zeros and signed zeros included, at exponents
+# from -45 to +10: str writes an exponent at both ends of that range.
+NUMBER_TEXTS = st.builds(
+    lambda sign, digits, exponent: Decimal(
+        (sign, tuple(map(int, digits)), exponent)),
+    st.integers(0, 1), st.text("0123456789", min_size=1, max_size=40),
+    st.integers(-45, 10))
+
+
+@settings(max_examples=500)
+@given(NUMBER_TEXTS)
+def test_number_text_matches_the_oracle(value):
+    """Display, snapshot encode and literal text, against digit arithmetic."""
+    expected = reference.number_text(value)
+    number = codec(NumberType())
+    assert number.encode(value) == expected
+    assert render_expr(Literal(value)) == expected
+    shown = expected.lstrip("-") if not value else expected
+    assert number.display(value) == shown
 
 
 @st.composite

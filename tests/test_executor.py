@@ -1,14 +1,19 @@
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import ora_code, run_sql
+import reference
+from conftest import make_session, ora_code, run_sql
 
 from handysql import executor
 from handysql.errors import OraError
-from handysql.executor import ResultSet, eval_aggregate, execute
+from handysql.executor import ResultSet, execute
 from handysql.parser import parse_text
 from handysql.persistence import saves
+from handysql.render import render_predicate
+from handysql.values import codec
 
 
 def select(session, text):
@@ -127,6 +132,25 @@ def test_equi_join_evaluates_only_matching_pairs(session, monkeypatch):
     assert block[1].index("*") == text.rindex("=")
 
 
+def test_join_compiles_each_conjunct_once(session, monkeypatch):
+    for name in ("A", "B", "C"):
+        run_sql(session, f"CREATE TABLE {name}(K NUMBER, V NUMBER)")
+        for k in range(3):
+            run_sql(session, f"INSERT INTO {name} VALUES({k}, {k * 10})")
+    compiled = []
+    original = executor.compile_predicate
+
+    def counting(pred, slot_of, type_of):
+        compiled.append(render_predicate(pred))
+        return original(pred, slot_of, type_of)
+
+    monkeypatch.setattr(executor, "compile_predicate", counting)
+    rs = select(session, "SELECT A.K, C.V FROM A, B, C WHERE A.K = B.K "
+                "AND (B.K = C.K AND A.V >= 10) AND C.V >= A.V")
+    assert rs.rows == [[Decimal(1), Decimal(10)], [Decimal(2), Decimal(20)]]
+    assert compiled == ["A.K = B.K", "B.K = C.K", "A.V >= 10", "C.V >= A.V"]
+
+
 def test_cross_product_without_predicate(classroom):
     rs = select(classroom, "SELECT S_NAME, C_NAME FROM STUDENTS, COURSE")
     assert len(rs.rows) == 7 * 4
@@ -216,15 +240,61 @@ def test_sum_of_text_column_is_1722(classroom):
     assert ora_code(block) == 1722
 
 
-def test_eval_aggregate_star_counts_rows():
-    assert eval_aggregate("COUNT", [None, None], star=True) == Decimal(2)
-    assert eval_aggregate("COUNT", [None, Decimal(1)]) == Decimal(1)
+_FOLDS = {"COUNT": reference.fold_count, "MIN": reference.fold_min,
+          "MAX": reference.fold_max, "SUM": reference.fold_sum,
+          "AVG": reference.fold_avg}
+# NUMBER, VARCHAR2 and DATE columns, NULLs in each; lists may be empty.
+_FOLD_ROWS = st.lists(st.tuples(
+    st.one_of(st.none(), st.decimals(-10 ** 8, 10 ** 8, places=3)),
+    st.one_of(st.none(), st.text("ab ", max_size=5)),
+    st.one_of(st.none(), st.dates())), max_size=8)
+# Several aggregates of one column often share a select list.
+_FOLD_ITEMS = st.lists(st.sampled_from(
+    [("COUNT", "*")] + [(func, col) for func in _FOLDS for col in "NSD"]),
+    min_size=1, max_size=6)
 
 
-def test_eval_aggregate_min_rejects_mixed_kinds():
-    with pytest.raises(OraError) as info:
-        eval_aggregate("MIN", [Decimal(1), "x"])
-    assert info.value.code == 932
+def _exact(value):
+    return Fraction(value) if isinstance(value, (Decimal, int)) else value
+
+
+@settings(max_examples=200)
+@given(_FOLD_ROWS, _FOLD_ITEMS)
+def test_typed_folds_match_the_oracle(rows, items):
+    """Each aggregate equals reference.fold_* over its column's values.
+
+    SUM or AVG over a non-NUMBER column is 1722 when it has a value,
+    item by item in select-list order.
+    """
+    session = make_session()
+    run_sql(session, "CREATE TABLE T(N NUMBER(12,3), S VARCHAR2(5), D DATE)")
+    table = session.db.tables["T"]
+    for row in rows:
+        table.rows.append([codec(col.type).coerce(v)
+                           for col, v in zip(table.columns, row)])
+    columns = dict(zip("NSD", zip(*table.rows))) if rows else {
+        name: () for name in "NSD"}
+    want: list = []
+    for func, col in items:
+        if col == "*":
+            want.append(len(rows))
+            continue
+        values = columns[col]
+        if func in ("SUM", "AVG") and col != "N" and any(
+                v is not None for v in values):
+            want = 1722
+            break
+        folded = _FOLDS[func](values)
+        if func == "AVG" and folded is not None:
+            folded = reference.round_sig(folded)
+        want.append(_exact(folded))
+    text = ", ".join(f"{func}({col})" for func, col in items)
+    try:
+        got = [_exact(v) for v in select(session,
+                                         f"SELECT {text} FROM T").rows[0]]
+    except OraError as err:
+        got = err.code
+    assert got == want
 
 
 def test_select_from_user_constraints(classroom):
@@ -241,7 +311,6 @@ def test_select_expression_header_uses_rendered_text(classroom):
     aliased = select(classroom,
                      "SELECT COUNT(S_MARKS) AS TOAL_MARKS FROM STUDENTS")
     assert aliased.headers == ["TOAL_MARKS"]
-
 
 
 ATOMIC_SETUP = (

@@ -171,6 +171,26 @@ def test_col_outside_table_rejected():
     reject("HANDYDB 1\nCOL A NUMBER(5) NULL\n", "COL")
 
 
+def test_repeated_column_name_rejected_as_create_table_does():
+    # CREATE TABLE refuses this with 957; SELECT A would read either.
+    reject("HANDYDB 1\nTABLE T\nCOL A NUMBER NULL\nCOL A VARCHAR2(3) NULL\n"
+           "COUNTER 5545\nROWS T\n1\tx\n",
+           "line 4: table T: ORA-00957: duplicate column name")
+
+
+@pytest.mark.parametrize("name", ["DUAL", "USER_CONSTRAINTS"])
+def test_builtin_table_name_rejected_as_create_table_does(name):
+    # A stored table of that name would shadow the built-in (955).
+    reject(f"HANDYDB 1\nTABLE {name}\nCOL Z NUMBER NULL\nCOUNTER 5545\n"
+           f"ROWS {name}\n5\n",
+           f"line 2: table {name}: ORA-00955: name is already used")
+
+
+def test_repeated_table_name_rejected():
+    reject("HANDYDB 1\nTABLE T\nCOL A NUMBER NULL\nTABLE T\n"
+           "COL B NUMBER NULL\n", "line 4: table T: ORA-00955")
+
+
 def test_constraint_for_unknown_table_rejected():
     reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NULL\n"
            "CONSTRAINT P X PK A\n", "X")
