@@ -24,8 +24,8 @@ from .nodes import (
     CreateTable, FallbackBody, Predicate, PrimaryKeyBody, UniqueBody,
 )
 from .values import (
-    DateType, NumberType, SqlType, SqlValue, Varchar2Type, normalize_type,
-    type_display,
+    Codec, DateType, NumberType, SqlType, SqlValue, Varchar2Type, codec,
+    normalize_type, type_display,
 )
 
 SYS_NAME_SEED = 5545
@@ -35,10 +35,16 @@ _DESC_NULL_WIDTH = 8
 _DESC_TYPE_WIDTH = 20
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ColumnSchema:
+    """A column's name and type, and the type's codec, found once."""
+
     name: str
     type: SqlType
+    codec: Codec = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "codec", codec(self.type))
 
 
 @dataclass
@@ -266,11 +272,13 @@ def _narrowing(old: SqlType, new: SqlType) -> bool:
 def modify_column(db: Database, stmt: AlterModify) -> str:
     """ALTER TABLE ... MODIFY: widen a type and/or flip nullability.
 
-    Only same-kind, non-narrowing type changes are allowed (1439).
+    Only same-kind, non-narrowing type changes are allowed (1439), and
+    the column is replaced by one of the new type, with its codec.
     Setting NOT NULL, unless a constraint already covers the column,
     validates the rows against a new NOTNULL constraint (2296) and
-    registers it under a generated SYS_C name; dropping it removes the column's NOTNULL constraints, so a column
-    in a primary key stays NOT NULL.
+    registers it under a generated SYS_C name; dropping it removes the
+    column's NOTNULL constraints, so a column in a primary key stays NOT
+    NULL.
     """
     table = _stored_table(db, stmt)
     col = table.find(stmt.change.name)
@@ -293,7 +301,8 @@ def modify_column(db: Database, stmt: AlterModify) -> str:
                                     table.rows) is not None:
             raise OraError(2296)
 
-    col.type = new_type
+    table.columns[table.index_of(col.name)] = ColumnSchema(col.name,
+                                                           new_type)
     if not_null is not None:
         not_null.name = next_sys_name(db)
         db.constraints.append(not_null)

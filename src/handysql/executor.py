@@ -52,7 +52,7 @@ from .nodes import (
 )
 from .render import render_expr
 from .values import (
-    NumberType, SqlType, SqlValue, codec, exact_sum, round_significant,
+    NumberType, SqlType, SqlValue, exact_sum, round_significant,
 )
 
 Row = list[SqlValue]
@@ -120,7 +120,7 @@ def execute_insert(db: Database, stmt: Insert) -> Feedback:
     row: list[SqlValue] = [None] * len(table.columns)
     for idx, literal in zip(targets, stmt.values):
         try:
-            row[idx] = codec(table.columns[idx].type).coerce(literal.value)
+            row[idx] = table.columns[idx].codec.coerce(literal.value)
         except OraError as err:
             raise OraError(err.code, literal.line, literal.column) from None
 
@@ -243,8 +243,13 @@ def execute_select(db: Database, stmt: Select) -> ResultSet:
 
     if stmt.items is None:
         headers = [c.name for s in scope.sources for c in s.table.columns]
-        # Copies, so no caller ever holds a stored row.
-        return ResultSet(headers, list(map(list.copy, matching)))
+        source = scope.sources[0]
+        if len(scope.sources) == 1 and source.rows is source.table.rows:
+            # Copies, so no caller ever holds a stored row.
+            return ResultSet(headers, list(map(list.copy, matching)))
+        # A join builds each of its rows anew, and a built-in's rows
+        # are made for this query.
+        return ResultSet(headers, list(matching))
 
     # Every filter error comes before any select-list error.
     rows = list(matching)

@@ -4,16 +4,19 @@ Bare identifiers and keywords fold to uppercase; quoted identifiers and
 string literals keep their case.  '&NAME' becomes a substitution-marker
 token when the shell has not already resolved it.
 
-The text is split by one compiled alternation matched left to right
-(the "Writing a Tokenizer" recipe of the re module documentation).
-Number literals use decimal digits (regex \\d, str.isdecimal); line and
-column come from match offsets, and only "\\n" starts a new line.
+One findall of a compiled pattern splits a statement into (leading
+whitespace, token) pairs, and an empty token marks the end.  Each
+token's kind follows from its first character, and line and column
+from the running length of the text before it: only "\\n" starts a
+line, whether in whitespace or inside a string or quoted identifier.
+Number literals use decimal digits (regex \\d, str.isdecimal).
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum, auto
+from typing import NamedTuple, TypeVar
 
 from .errors import OraError
 
@@ -28,6 +31,8 @@ KEYWORDS = frozenset({
 
 AGGREGATE_FUNCS = frozenset({"AVG", "MIN", "MAX", "SUM", "COUNT"})
 
+_NT = TypeVar("_NT")
+
 
 class TokenKind(Enum):
     KEYWORD = auto()
@@ -40,98 +45,137 @@ class TokenKind(Enum):
     END = auto()  # end of input; appended by the parser, never lexed
 
 
-class Token:
-    """One lexeme; equality and hashing ignore its position."""
+def positions_ignored(cls: type[_NT]) -> type[_NT]:
+    """Make a NamedTuple class compare and hash by its fields before `line`.
 
-    __slots__ = ("kind", "lexeme", "line", "column")
-
-    def __init__(self, kind: TokenKind, lexeme: str,
-                 line: int = 1, column: int = 1):
-        self.kind = kind
-        self.lexeme = lexeme
-        self.line = line
-        self.column = column
+    Those that follow are positions, which say where a thing was
+    written, not what it is.  Instances of two classes are unequal, and
+    so is an instance and a plain tuple, which would otherwise compare
+    field by field.
+    """
+    fields = cls._fields  # type: ignore[attr-defined]
+    n = fields.index("line") if "line" in fields else len(fields)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Token):
-            return NotImplemented
-        return self.kind is other.kind and self.lexeme == other.lexeme
+        if other.__class__ is cls:
+            return self[:n] == other[:n]
+        if isinstance(other, tuple) and type(other).__eq__ is tuple.__eq__:
+            return False
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        equal = __eq__(self, other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.lexeme))
+        return hash(self[:n])
 
-    def __repr__(self) -> str:
-        return (f"Token(kind={self.kind!r}, lexeme={self.lexeme!r}, "
-                f"line={self.line!r}, column={self.column!r})")
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
+    return cls
+
+
+@positions_ignored
+class Token(NamedTuple):
+    """One lexeme; equality and hashing ignore its position."""
+
+    kind: TokenKind
+    lexeme: str
+    line: int = 1
+    column: int = 1
 
     def is_kw(self, *words: str) -> bool:
-        return self.kind is _KEYWORD_KIND and self.lexeme in words
+        return self.kind is _KEYWORD and self.lexeme in words
 
     def is_punct(self, *marks: str) -> bool:
-        return self.kind is _PUNCT_KIND and self.lexeme in marks
+        return self.kind is _PUNCT and self.lexeme in marks
 
 
-# A word is [\w$#]* after a letter or "_".  "[^\W\d]" also admits
-# numeric characters that are not decimal digits ("²", "½"); tokenize
-# turns those away with str.isalpha.  A string closes at a quote not
-# followed by another: "''" inside it stands for one quote, and the
-# lookahead keeps "'ab''" from closing at the first quote of its "''".
-_TOKEN = re.compile(r"""\s*(?:
-    (?P<WORD>[^\W\d][\w$\#]*)
-  | (?P<NUMBER>-?\d+(?:\.\d+)?)
-  | (?P<PUNCT><>|<=|>=|!=|[<>=(),*.])
-  | (?P<STRING>'(?:[^']|'')*'(?!'))
-  | (?P<QUOTED_IDENT>"[^"]*")
-  | (?P<SUBST>&[^\W\d][\w$\#]*)
-  | (?P<UNTERMINATED>['"])
-  | (?P<END>\Z)
-  | (?P<BAD>.)
+# Each token after its leading whitespace; the alternatives are tried
+# in order.  A word is [\w$#]* after a letter or "_".  "[^\W\d]" also
+# admits numeric characters that are not decimal digits ("²", "½");
+# tokenize turns those away with str.isalpha.  A string closes at a
+# quote not followed by another: "''" inside it stands for one quote,
+# and the lookahead keeps "'ab''" from closing at the first quote of
+# its "''".  An empty token is the end of the text, and any other
+# single character (a lone quote, "!" or "-" among them) is an error
+# where it stands.
+_PAIR = re.compile(r"""(\s*)(
+    [^\W\d][\w$\#]*
+  | -?\d+(?:\.\d+)?
+  | <>|<=|>=|!=|[<>=(),*.]
+  | '(?:[^']|'')*'(?!')
+  | "[^"]*"
+  | &[^\W\d][\w$\#]*
+  | \Z
+  | .
 )""", re.VERBOSE | re.DOTALL)
 
-# Group numbers of _TOKEN's alternatives, and the token kind of each
-# that yields a token.  Enum attribute lookups are slow enough to show
-# per token, so the kinds are looked up here once.
-(_WORD, _NUMBER, _PUNCT, _STRING, _QUOTED_IDENT, _SUBST, _UNTERMINATED,
- _END) = range(1, 9)
-_GROUP_KINDS = (None, TokenKind.IDENT, TokenKind.NUMBER, TokenKind.PUNCT,
-                TokenKind.STRING, TokenKind.QUOTED_IDENT, TokenKind.SUBST)
-_KEYWORD_KIND, _PUNCT_KIND = TokenKind.KEYWORD, TokenKind.PUNCT
+# Enum attribute lookups are slow enough to show per token, so the
+# kinds are looked up here once.
+_KEYWORD, _IDENT, _PUNCT = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.PUNCT
+_NUMBER, _STRING, _QUOTED = (TokenKind.NUMBER, TokenKind.STRING,
+                             TokenKind.QUOTED_IDENT)
+_SUBST = TokenKind.SUBST
+# The kind of a token by the ASCII character it starts with.  A lone
+# "-", "!", "&" or quote has the kind its longer tokens have, and is
+# turned away by its length.
+_KIND_OF = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                    "abcdefghijklmnopqrstuvwxyz_", _IDENT),
+    **dict.fromkeys("0123456789-", _NUMBER),
+    **dict.fromkeys("<>=(),*.!", _PUNCT),
+    "'": _STRING, '"': _QUOTED, "&": _SUBST,
+}
+# Token(...) would run the NamedTuple's Python-level __new__ per token.
+_new = tuple.__new__
 
 
 def tokenize(text: str) -> list[Token]:
     """Split statement text into tokens, raising positioned OraErrors."""
     tokens: list[Token] = []
+    append = tokens.append
     multiline = "\n" in text
-    line, line_start, seen = 1, 0, 0
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        start = m.start(group)
-        if multiline:
-            nl = text.rfind("\n", seen, start)
-            if nl >= 0:
-                line += text.count("\n", seen, nl + 1)
-                line_start = nl + 1
-            seen = start
+    line, line_start, pos = 1, 0, 0
+    for space, lexeme in _PAIR.findall(text):
+        start = pos + len(space)
+        if multiline and "\n" in space:
+            line += space.count("\n")
+            line_start = pos + space.rindex("\n") + 1
+        pos = start + len(lexeme)
         column = start - line_start + 1
-        if group >= _UNTERMINATED:
-            if group == _END:
+        first = lexeme[:1]
+        kind = _KIND_OF.get(first)
+        if kind is None:
+            # The end, or a character outside ASCII.
+            if first.isalpha():
+                kind = _IDENT
+            elif first.isdecimal():
+                kind = _NUMBER
+            elif not lexeme:
                 break
-            raise OraError(1756 if group == _UNTERMINATED else 900,
-                           line, column)
-        kind = _GROUP_KINDS[group]
-        lexeme = m.group(group)
-        if group == _WORD:
-            if not (lexeme[0].isalpha() or lexeme[0] == "_"):
+            else:
                 raise OraError(900, line, column)
+        if kind is _IDENT:
             lexeme = lexeme.upper()
             if lexeme in KEYWORDS:
-                kind = _KEYWORD_KIND
-        elif group == _STRING:
-            lexeme = lexeme[1:-1].replace("''", "'")
-        elif group == _QUOTED_IDENT:
-            lexeme = lexeme[1:-1]
-        elif group == _SUBST and not (lexeme[1].isalpha()
-                                      or lexeme[1] == "_"):
-            raise OraError(900, line, column)
-        tokens.append(Token(kind, lexeme, line, column))
+                kind = _KEYWORD
+        elif kind is _PUNCT or kind is _NUMBER:
+            if lexeme == "!" or lexeme == "-":
+                raise OraError(900, line, column)
+        elif kind is _SUBST:
+            if not (lexeme[1:2].isalpha() or lexeme[1:2] == "_"):
+                raise OraError(900, line, column)
+        else:
+            if len(lexeme) == 1:
+                raise OraError(1756, line, column)
+            body = lexeme[1:-1]
+            if kind is _STRING:
+                body = body.replace("''", "'")
+            append(_new(Token, (kind, body, line, column)))
+            # Line breaks inside the quotes move the tokens that follow.
+            if multiline and "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = start + lexeme.rindex("\n") + 1
+            continue
+        append(_new(Token, (kind, lexeme, line, column)))
     return tokens

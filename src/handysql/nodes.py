@@ -1,77 +1,79 @@
 """Typed statement tree produced by the parser.
 
-Source positions ride along in compare-excluded fields, so two trees
-compare equal when they mean the same statement regardless of layout.
-Written type spellings (VARCHAR vs VARCHAR2) are preserved here;
-normalization happens later in the data model.
+Each node is a NamedTuple: building one makes one tuple, with no store
+per field.  Source positions ride along in the fields from `line` on,
+which equality and hashing ignore, so two trees compare equal when they
+mean the same statement regardless of layout.  Written type spellings
+(VARCHAR vs VARCHAR2) are preserved here; normalization happens later
+in the data model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import NamedTuple
 
-from .lexer import Token
+from .lexer import Token, positions_ignored
 
 
-@dataclass(frozen=True)
-class TypeSpec:
+@positions_ignored
+class TypeSpec(NamedTuple):
     keyword: str
     args: tuple[int, ...] = ()
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
+    line: int = 1
+    column: int = 1
 
 
-@dataclass(frozen=True)
-class ColumnRef:
+@positions_ignored
+class ColumnRef(NamedTuple):
     name: str
     qualifier: str | None = None
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
+    line: int = 1
+    column: int = 1
 
 
-@dataclass(frozen=True)
-class Literal:
+@positions_ignored
+class Literal(NamedTuple):
     value: Decimal | str | None
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
+    line: int = 1
+    column: int = 1
 
 
-@dataclass(frozen=True)
-class AggregateCall:
+@positions_ignored
+class AggregateCall(NamedTuple):
     func: str
     arg: ColumnRef | None = None  # None is the COUNT(*) star form
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
+    line: int = 1
+    column: int = 1
 
 
 Expr = ColumnRef | Literal | AggregateCall
 
 
-@dataclass(frozen=True)
-class Comparison:
+@positions_ignored
+class Comparison(NamedTuple):
     op: str  # canonical: = != < <= > >=
     left: Expr
     right: Expr
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
+    line: int = 1
+    column: int = 1
 
 
-@dataclass(frozen=True)
-class IsNull:
+@positions_ignored
+class IsNull(NamedTuple):
     operand: Expr
     negated: bool = False
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
+    line: int = 1
+    column: int = 1
 
 
-@dataclass(frozen=True)
-class Not:
+@positions_ignored
+class Not(NamedTuple):
     operand: "Predicate"
 
 
-@dataclass(frozen=True)
-class BoolOp:
+@positions_ignored
+class BoolOp(NamedTuple):
     op: str  # AND | OR
     left: "Predicate"
     right: "Predicate"
@@ -80,81 +82,80 @@ class BoolOp:
 Predicate = Comparison | IsNull | Not | BoolOp
 
 
-@dataclass(frozen=True)
-class ColumnClause:
+@positions_ignored
+class ColumnClause(NamedTuple):
     name: str
     type_spec: TypeSpec
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
+    line: int = 1
+    column: int = 1
 
 
-@dataclass(frozen=True)
-class CreateTable:
+@positions_ignored
+class CreateTable(NamedTuple):
     table: str
     columns: tuple[ColumnClause, ...]
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
+    line: int = 1
+    column: int = 1
 
 
-@dataclass(frozen=True)
-class Describe:
+@positions_ignored
+class Describe(NamedTuple):
     table: str
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
+    line: int = 1
+    column: int = 1
 
 
-@dataclass(frozen=True)
-class Insert:
+@positions_ignored
+class Insert(NamedTuple):
     table: str
     columns: tuple[str, ...] | None
     values: tuple[Literal, ...]
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
-    column_positions: tuple[tuple[int, int], ...] = field(
-        default=(), compare=False)
-    values_end: tuple[int, int] = field(default=(1, 1), compare=False)
+    line: int = 1
+    column: int = 1
+    column_positions: tuple[tuple[int, int], ...] = ()
+    values_end: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class SelectItem:
+@positions_ignored
+class SelectItem(NamedTuple):
     expr: Expr
     alias: str | None = None
     alias_quoted: bool = False
 
 
-@dataclass(frozen=True)
-class TableRef:
+@positions_ignored
+class TableRef(NamedTuple):
     table: str
     alias: str | None = None
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
+    line: int = 1
+    column: int = 1
 
 
-@dataclass(frozen=True)
-class Select:
+@positions_ignored
+class Select(NamedTuple):
     items: tuple[SelectItem, ...] | None  # None is the '*' form
     tables: tuple[TableRef, ...]
     join_on: Predicate | None = None  # set only for INNER JOIN ... ON
     where: Predicate | None = None
 
 
-@dataclass(frozen=True)
-class PrimaryKeyBody:
+@positions_ignored
+class PrimaryKeyBody(NamedTuple):
     columns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class UniqueBody:
+@positions_ignored
+class UniqueBody(NamedTuple):
     columns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CheckBody:
+@positions_ignored
+class CheckBody(NamedTuple):
     predicate: Predicate
 
 
-@dataclass(frozen=True)
-class FallbackBody:
+@positions_ignored
+class FallbackBody(NamedTuple):
     """Clause tail after a constraint name that is not PK/UNIQUE/CHECK.
 
     Kept as raw tokens; the catalog decides whether it names an existing
@@ -167,26 +168,26 @@ class FallbackBody:
 ConstraintBody = PrimaryKeyBody | UniqueBody | CheckBody | FallbackBody
 
 
-@dataclass(frozen=True)
-class AlterAddConstraint:
+@positions_ignored
+class AlterAddConstraint(NamedTuple):
     table: str
     name: str
     body: ConstraintBody
     # Position of the constraint-name token, where the fallback error
     # marker lands.
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
-    table_pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    line: int = 1
+    column: int = 1
+    table_pos: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class AlterModify:
+@positions_ignored
+class AlterModify(NamedTuple):
     table: str
     change: ColumnClause
     nullability: str | None = None  # "NOT NULL" | "NULL" | None
-    line: int = field(default=1, compare=False)
-    column: int = field(default=1, compare=False)
-    table_pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    line: int = 1
+    column: int = 1
+    table_pos: tuple[int, int] = (1, 1)
 
 
 Statement = (CreateTable | Describe | Insert | Select

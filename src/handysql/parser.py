@@ -7,7 +7,9 @@ that is neither PRIMARY KEY, UNIQUE nor CHECK parses into a fallback
 body so the catalog can produce the add-column diagnostic.
 
 The token stream gets one END token appended, so lookahead never runs
-out; an error found at END is reported at the last real token.
+out; an error found at END is reported at the last real token.  NOTs
+and parentheses nest at most MAX_NESTING deep in a predicate; the one
+that goes deeper is 900, well before the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ _COMPARE_PUNCT = {"=", "!=", "<>", "<", "<=", ">", ">="}
 # an expression should start means the expression is missing (936).
 _EXPR_TERMINATORS = {",", ")"}
 _END = Token(TokenKind.END, "")
+# How deep NOTs and parentheses may nest in one predicate.
+MAX_NESTING = 100
 # Looking up an Enum member costs about 0.17 us on Python 3.11, and the
 # parser tests token kinds several times per token.
 _KEYWORD, _PUNCT, _IDENT = TokenKind.KEYWORD, TokenKind.PUNCT, TokenKind.IDENT
@@ -50,6 +54,7 @@ class _Parser:
             raise OraError(900, 1, 1)
         self.tokens = [*tokens, _END]
         self.pos = 0
+        self.depth = 0  # of the NOTs and parentheses open in a predicate
 
     # -- stream helpers ------------------------------------------------
 
@@ -125,14 +130,12 @@ class _Parser:
         columns = self.comma_list(self.column_def)
         self.expect_punct(")")
         self.expect_end()
-        return CreateTable(name.lexeme, tuple(columns),
-                           line=name.line, column=name.column)
+        return CreateTable(name.lexeme, tuple(columns), name.line, name.column)
 
     def column_def(self) -> ColumnClause:
         name = self.expect_ident()
         spec = self.type_spec()
-        return ColumnClause(name.lexeme, spec,
-                            line=name.line, column=name.column)
+        return ColumnClause(name.lexeme, spec, name.line, name.column)
 
     def type_spec(self) -> TypeSpec:
         tok = self.peek()
@@ -155,7 +158,7 @@ class _Parser:
             self.advance()
         else:
             raise self.fail(900)
-        return TypeSpec(tok.lexeme, args, line=tok.line, column=tok.column)
+        return TypeSpec(tok.lexeme, args, tok.line, tok.column)
 
     def unsigned_int(self) -> int:
         tok = self.peek()
@@ -167,7 +170,7 @@ class _Parser:
     def describe(self) -> Describe:
         name = self.expect_ident()
         self.expect_end()
-        return Describe(name.lexeme, line=name.line, column=name.column)
+        return Describe(name.lexeme, name.line, name.column)
 
     def insert(self) -> Insert:
         self.expect_kw("INTO")
@@ -183,10 +186,9 @@ class _Parser:
         values = self.comma_list(self.value_literal)
         rparen = self.expect_punct(")")
         self.expect_end()
-        return Insert(name.lexeme, columns, tuple(values),
-                      line=name.line, column=name.column,
-                      column_positions=column_positions,
-                      values_end=(rparen.line, rparen.column))
+        return Insert(name.lexeme, columns, tuple(values), name.line,
+                      name.column, column_positions,
+                      (rparen.line, rparen.column))
 
     def literal(self) -> Literal | None:
         """A NUMBER, string or NULL literal, or None if none is next."""
@@ -200,7 +202,7 @@ class _Parser:
         else:
             return None
         self.advance()
-        return Literal(value, line=tok.line, column=tok.column)
+        return Literal(value, tok.line, tok.column)
 
     def missing_expression(self, *enders: str) -> OraError:
         """936 if the slot is empty (the next token ends it), else 900."""
@@ -224,7 +226,7 @@ class _Parser:
         tables, join_on = self.table_refs()
         where = self.predicate() if self.accept_kw("WHERE") else None
         self.expect_end()
-        return Select(items, tables, join_on=join_on, where=where)
+        return Select(items, tables, join_on, where)
 
     def select_item(self) -> SelectItem:
         expr = self.expression()
@@ -234,8 +236,7 @@ class _Parser:
             raise self.fail(923)
         if tok.kind is _IDENT or tok.kind is _QUOTED_IDENT:
             self.advance()
-            return SelectItem(expr, tok.lexeme,
-                              alias_quoted=tok.kind is _QUOTED_IDENT)
+            return SelectItem(expr, tok.lexeme, tok.kind is _QUOTED_IDENT)
         if after_as:
             raise self.fail(900)
         return SelectItem(expr)
@@ -250,8 +251,7 @@ class _Parser:
             if tok.lexeme != "COUNT" or not self.accept_punct("*"):
                 arg = self.column_ref()
             self.expect_punct(")")
-            return AggregateCall(tok.lexeme, arg,
-                                 line=tok.line, column=tok.column)
+            return AggregateCall(tok.lexeme, arg, tok.line, tok.column)
         if tok.kind is _IDENT:
             return self.column_ref()
         lit = self.literal()
@@ -263,9 +263,9 @@ class _Parser:
         first = self.expect_ident()
         if self.accept_punct("."):
             name = self.expect_ident()
-            return ColumnRef(name.lexeme, qualifier=first.lexeme,
-                             line=first.line, column=first.column)
-        return ColumnRef(first.lexeme, line=first.line, column=first.column)
+            return ColumnRef(name.lexeme, first.lexeme, first.line,
+                             first.column)
+        return ColumnRef(first.lexeme, None, first.line, first.column)
 
     def table_refs(self) -> tuple[tuple[TableRef, ...], Predicate | None]:
         tables = self.comma_list(self.table_ref)
@@ -281,8 +281,7 @@ class _Parser:
         alias = None
         if self.peek().kind is _IDENT:
             alias = self.advance().lexeme
-        return TableRef(name.lexeme, alias,
-                        line=name.line, column=name.column)
+        return TableRef(name.lexeme, alias, name.line, name.column)
 
     # -- predicates ----------------------------------------------------
 
@@ -299,13 +298,22 @@ class _Parser:
         return left
 
     def pred_not(self) -> Predicate:
-        if self.accept_kw("NOT"):
-            return Not(self.pred_not())
-        if self.accept_punct("("):
-            inner = self.predicate()
+        tok = self.tokens[self.pos]
+        if not (tok.is_kw("NOT") or tok.is_punct("(")):
+            return self.comparison()
+        # Each level costs a few Python frames here and in every walk
+        # of the tree, so a NOT or "(" past the limit is an error.
+        if self.depth == MAX_NESTING:
+            raise self.fail(900)
+        self.depth += 1
+        self.pos += 1
+        if tok.lexeme == "NOT":
+            pred: Predicate = Not(self.pred_not())
+        else:
+            pred = self.predicate()
             self.expect_punct(")")
-            return inner
-        return self.comparison()
+        self.depth -= 1
+        return pred
 
     def comparison(self) -> Predicate:
         left = self.expression()
@@ -313,13 +321,13 @@ class _Parser:
         if self.accept_kw("IS"):
             negated = self.accept_kw("NOT") is not None
             self.expect_kw("NULL")
-            return IsNull(left, negated, line=tok.line, column=tok.column)
+            return IsNull(left, negated, tok.line, tok.column)
         if tok.kind is not _PUNCT or tok.lexeme not in _COMPARE_PUNCT:
             raise self.fail(900)
         self.advance()
         op = "!=" if tok.lexeme == "<>" else tok.lexeme
         right = self.expression()
-        return Comparison(op, left, right, line=tok.line, column=tok.column)
+        return Comparison(op, left, right, tok.line, tok.column)
 
     # -- alter ---------------------------------------------------------
 
@@ -352,8 +360,8 @@ class _Parser:
             self.pos = len(self.tokens) - 1
         self.expect_end()
         return AlterAddConstraint(table.lexeme, name.lexeme, body,
-                                  line=name.line, column=name.column,
-                                  table_pos=(table.line, table.column))
+                                  name.line, name.column,
+                                  (table.line, table.column))
 
     def paren_ident_list(self) -> list[Token]:
         self.expect_punct("(")
@@ -371,11 +379,9 @@ class _Parser:
         elif self.accept_kw("NULL"):
             nullability = "NULL"
         self.expect_end()
-        change = ColumnClause(col.lexeme, spec, line=col.line,
-                              column=col.column)
-        return AlterModify(table.lexeme, change, nullability,
-                           line=col.line, column=col.column,
-                           table_pos=(table.line, table.column))
+        change = ColumnClause(col.lexeme, spec, col.line, col.column)
+        return AlterModify(table.lexeme, change, nullability, col.line,
+                           col.column, (table.line, table.column))
 
 
 _STATEMENTS: dict[str, Callable[[_Parser], Statement]] = {

@@ -18,8 +18,8 @@ tab, newline and carriage return are escaped, and a lone backslash ends
 no cell.  \\e reads as nothing: saves writes it only in front of a row
 line that would otherwise be blank (the empty text of a one-column
 table) or start with "ROWS ", so that every row it writes loads again.
-Each column's codec (values.codec) writes and reads its cells: dates as
-YYYY-MM-DD, numbers in plain positional notation.  A CHECK body is its
+Each column's codec (ColumnSchema.codec) writes and reads its cells:
+dates as YYYY-MM-DD, numbers in plain positional notation.  A CHECK body is its
 predicate's SQL text; one whose literals hold a newline or a carriage
 return is escaped as a cell is, behind a leading backslash, which no SQL
 text starts with.  A PK or UNIQUE line lists its columns with commas,
@@ -50,7 +50,7 @@ from .errors import OraError
 from .parser import parse_standalone_predicate
 from .render import render_predicate
 from .values import (
-    SqlValue, Varchar2Type, codec, escape_text, parse_type_display,
+    SqlValue, Varchar2Type, escape_text, parse_type_display,
     type_display,
 )
 
@@ -113,7 +113,7 @@ def saves(db: Database) -> str:
     lines.append(f"COUNTER {db.sys_name_counter}")
     for name, table in db.tables.items():
         lines.append(f"ROWS {name}")
-        encoders = [codec(col.type).encode for col in table.columns]
+        encoders = [col.codec.encode for col in table.columns]
         cells = [[_NULL if v is None else encode(v) for v in column]
                  for encode, column in zip(encoders, zip(*table.rows))]
         if cells and isinstance(table.columns[0].type, Varchar2Type):
@@ -148,7 +148,7 @@ def save(db: Database, path: str) -> None:
 
 def _row_decoder(table: Table) -> Callable[[str], list[SqlValue]]:
     """A function reading one ROWS line of a table into a row."""
-    decoders = [codec(col.type).decode for col in table.columns]
+    decoders = [col.codec.decode for col in table.columns]
     width = len(decoders)
 
     def decode_row(line: str) -> list[SqlValue]:

@@ -7,11 +7,12 @@ yield UNKNOWN.
 
 A column's type fixes the kind of every value it holds, so each type
 has one Codec, built on first use: INSERT coercion, the snapshot cell
-in both directions, and the result-set text.  Callers look it up by the
-column's current type, so a MODIFY that widens the type needs nothing
-else.  Number text is str's, unless str writes an exponent, and date
-text is put together from precomputed day, month and year parts, since
-both run once per cell of a result set or a snapshot.
+in both directions, and the result-set text.  Each column holds its
+type's codec (catalog.ColumnSchema), and a MODIFY that widens the type
+replaces the column.  Number text is str's, unless str writes an
+exponent, and date text is put together from precomputed day, month
+and year parts, since both run once per cell of a result set or a
+snapshot.
 """
 
 from __future__ import annotations

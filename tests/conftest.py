@@ -57,6 +57,16 @@ def truth(text: str, a=None, b=None):
     return test(row)
 
 
+def nested(depth: int) -> str:
+    """A predicate over A, NOT and "(" nesting depth deep in turns.
+
+    Its NOT (A = 0 OR ...) levels make it TRUE for A = 1 alone when
+    depth is a multiple of 4, and UNKNOWN for NULL.
+    """
+    half, odd = divmod(depth, 2)
+    return "NOT (A = 0 OR " * half + "NOT " * odd + "A = 1" + ")" * half
+
+
 @pytest.fixture
 def session() -> Session:
     return make_session()

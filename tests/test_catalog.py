@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 from conftest import make_session, ora_code, run_sql
 
 from handysql.catalog import SYS_NAME_SEED, Database, next_sys_name
@@ -168,8 +170,24 @@ def test_fallback_without_known_column_is_900(classroom):
 
 
 def test_modify_widen_and_narrow(classroom):
+    long_name = ("INSERT INTO STUDENTS(S_ROLL, S_NAME) "
+                 "VALUES(8, 'A NAME OF TWENTY-FIVE CHARS')")
+    big_roll = "INSERT INTO STUDENTS(S_ROLL, S_NAME) VALUES(1234, 'NEW')"
+    assert ora_code(run_sql(classroom, long_name)) == 12899
+    assert ora_code(run_sql(classroom, big_roll)) == 1438
     ok = run_sql(classroom, "ALTER TABLE STUDENTS MODIFY S_NAME VARCHAR(30)")
     assert ora_code(ok) is None
+    ok = run_sql(classroom, "ALTER TABLE STUDENTS MODIFY S_ROLL NUMBER(6)")
+    assert ora_code(ok) is None
+    # Each INSERT coerces through the widened column's own codec.
+    assert ora_code(run_sql(classroom, long_name)) is None
+    assert ora_code(run_sql(classroom, big_roll)) is None
+    text = saves(classroom.db)
+    copy = loads(text)
+    assert [row[:2] for row in copy.tables["STUDENTS"].rows[-2:]] == [
+        [Decimal(8), "A NAME OF TWENTY-FIVE CHARS"],
+        [Decimal(1234), "NEW"]]
+    assert saves(copy) == text
     narrower = run_sql(
         classroom, "ALTER TABLE STUDENTS MODIFY S_NAME VARCHAR(5)")
     assert ora_code(narrower) == 1439

@@ -35,6 +35,22 @@ def test_column_list_fills_unlisted_with_null(classroom):
     assert rows == [[Decimal(9), "AI", None]]
 
 
+@pytest.mark.parametrize("text", [
+    "SELECT * FROM COURSE",
+    "SELECT * FROM STUDENTS S INNER JOIN COURSE C ON S.S_ROLL = C.C_SROLL",
+    "SELECT * FROM STUDENTS, COURSE",
+    "SELECT S_NAME, S_ROLL FROM STUDENTS",
+])
+def test_changing_a_result_row_leaves_the_tables_alone(classroom, text):
+    before = saves(classroom.db)
+    rows = select(classroom, text).rows
+    assert rows
+    for row in rows:
+        row[0] = "CHANGED"
+        row.append("EXTRA")
+    assert saves(classroom.db) == before
+
+
 def test_insert_too_many_values_is_913_at_first_extra(classroom):
     block = run_sql(classroom, "INSERT INTO COURSE VALUES(9, 'A', 9, 9)")
     assert ora_code(block) == 913

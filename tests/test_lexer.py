@@ -143,6 +143,7 @@ def test_decimal_digits_of_other_scripts_are_numbers(session):
 
 
 PIECES = ["SELECT", "from", "a1", "_x", "B$#", "'", "''", '"', "'it''s'",
+          "'a\nb'", '"q\nr"',
           "'open", '"Open', "1", "-", "-2", "3.5", ".", ",", "(", ")", "*",
           "&", "&v", "<", ">", "!", "=", "<>", "!=", "<=", ">=", " ", "\t",
           "\n", "\r\n", "\u2028", "\x85", "\xa0", "\x1c", "é", "ß", "²",
@@ -151,9 +152,8 @@ PIECES = ["SELECT", "from", "a1", "_x", "B$#", "'", "''", '"', "'it''s'",
 
 def outcome(tokens_of, text):
     try:
-        return [t if isinstance(t, tuple)
-                else (t.kind, t.lexeme, t.line, t.column)
-                for t in tokens_of(text)]
+        # A Token is a tuple of its kind, lexeme, line and column.
+        return [tuple(t) for t in tokens_of(text)]
     except OraError as err:
         return (err.code, err.line, err.column)
 

@@ -2,6 +2,8 @@ from decimal import Decimal
 
 import pytest
 
+from conftest import nested
+
 from handysql.errors import OraError
 from handysql.nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, BoolOp, CheckBody,
@@ -9,7 +11,7 @@ from handysql.nodes import (
     Insert, IsNull, Literal, Not, PrimaryKeyBody, Select, SelectItem,
     TableRef, TypeSpec, UniqueBody,
 )
-from handysql.parser import parse_text
+from handysql.parser import MAX_NESTING, parse_text
 
 
 def fails_with(text, code, line=None, column=None):
@@ -255,6 +257,53 @@ def test_tree_equality_ignores_positions():
     one = parse_text("SELECT A FROM T WHERE B = 1")
     other = parse_text("SELECT  A\nFROM   T\nWHERE  B  =  1")
     assert one == other
+    assert not one != other
+    assert hash(one) == hash(other)
+    assert (one.where.line, other.where.line) == (1, 3)
+    assert {ColumnRef("B", None, 1, 23): 0}[other.where.left] == 0
+
+
+def test_nodes_of_two_classes_or_a_tuple_are_unequal():
+    pred = Comparison("=", ColumnRef("A"), Literal(Decimal(1)))
+    assert PrimaryKeyBody(("A",)) != UniqueBody(("A",))
+    assert not PrimaryKeyBody(("A",)) == UniqueBody(("A",))
+    # A node is a tuple, but no plain tuple equals it, from either side.
+    assert Not(pred) != (pred,)
+    assert (pred,) != Not(pred)
+    assert not Not(pred) == (pred,)
+    assert ColumnRef("A") != ("A", None, 1, 1)
+    assert Literal(None) != Describe(None)
+
+
+def test_nodes_are_immutable():
+    stmt = parse_text("INSERT INTO T VALUES(1)")
+    for node, name in ((stmt, "table"), (stmt.values[0], "line"),
+                       (TypeSpec("DATE"), "keyword")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, "X")
+    assert stmt.table == "T"
+
+
+def test_nesting_up_to_the_limit_parses():
+    stmt = parse_text(f"SELECT A FROM T WHERE {nested(MAX_NESTING)}")
+    levels, node = 0, stmt.where
+    while isinstance(node, Not):
+        levels += 1
+        node = node.operand.right if isinstance(node.operand,
+                                                BoolOp) else node.operand
+    assert levels == MAX_NESTING // 2 + MAX_NESTING % 2
+
+
+@pytest.mark.parametrize("text, column", [
+    pytest.param(nested(MAX_NESTING + 1),
+                 1 + len("NOT (A = 0 OR ") * (MAX_NESTING // 2), id="mixed"),
+    pytest.param("(" * 10000 + "A = 1" + ")" * 10000, MAX_NESTING + 1,
+                 id="parentheses"),
+    pytest.param("NOT " * 10000 + "A = 1", 1 + len("NOT ") * MAX_NESTING,
+                 id="nots"),
+])
+def test_nesting_past_the_limit_is_900_where_it_goes_deeper(text, column):
+    fails_with(f"SELECT A FROM T WHERE\n{text}", 900, line=2, column=column)
 
 
 def test_error_position_spans_lines():

@@ -2,10 +2,11 @@ import importlib.resources
 
 import pytest
 
-from conftest import make_session, run_sql
+from conftest import make_session, nested, run_sql
 
 from handysql import persistence
 from handysql.executor import Database
+from handysql.parser import MAX_NESTING
 from handysql.persistence import SnapshotError, loads, saves
 from handysql.shell import Session, execute_statement
 
@@ -299,6 +300,31 @@ def test_check_backslashes_of_older_files_keep_their_meaning():
 def test_check_the_table_cannot_hold_rejected(body, code):
     reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NULL\nCOL D DATE NULL\n"
            f"CONSTRAINT C T CHECK {body}\nROWS T\n1\t1990-01-02\n", code)
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("(" * 10000 + "A > 1" + ")" * 10000, id="parentheses"),
+    pytest.param("NOT " * 10000 + "A > 1", id="nots"),
+])
+def test_check_nested_too_deep_rejected(body):
+    reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NULL\n"
+           f"CONSTRAINT C T CHECK {body}\n", "ORA-00900")
+
+
+def test_check_nested_to_the_limit_works_and_round_trips():
+    body = nested(MAX_NESTING)
+    db = build_db("CREATE TABLE T(A NUMBER(3))",
+                  "INSERT INTO T VALUES(1)", "INSERT INTO T VALUES(NULL)",
+                  f"ALTER TABLE T ADD CONSTRAINT CK CHECK ({body})")
+    text = saves(db)
+    reloaded = loads(text)
+    assert saves(reloaded) == text
+    for copy in (db, reloaded):
+        session = make_session(copy)
+        block = run_sql(session, "INSERT INTO T VALUES(2)")
+        assert "ORA-02290" in "\n".join(block)
+        block = run_sql(session, f"SELECT A FROM T WHERE {body}")
+        assert [line.strip() for line in block[3:-1]] == ["1"]
 
 
 def test_check_bad_escape_rejected_with_its_line():

@@ -9,7 +9,7 @@ from conftest import make_session, ora_code, run_sql
 
 from handysql.executor import ResultSet
 from handysql.shell import (PROMPT, continuation_prompt, main,
-                            read_statement, render_result_set,
+                            read_statement, render_result_set, run_script,
                             substitute_variables)
 
 
@@ -204,6 +204,20 @@ def test_bind_directives_feed_substitution(tmp_path):
     assert "Enter value for v: 42" in proc.stdout
     assert "-- bind" not in proc.stdout
     assert "42" in proc.stdout
+
+
+def test_statements_nested_too_deep_are_error_blocks(tmp_path):
+    script = tmp_path / "deep.sql"
+    script.write_text(
+        "CREATE TABLE T(A NUMBER(3));\n"
+        f"SELECT A FROM T WHERE {'(' * 10000}A = 1{')' * 10000};\n"
+        f"SELECT A FROM T WHERE {'NOT ' * 10000}A = 1;\n"
+        f"ALTER TABLE T ADD CONSTRAINT C CHECK ({'NOT ' * 10000}A = 1);\n")
+    session = make_session()
+    run_script(session, str(script))
+    assert session.error_count == 3
+    transcript = session.out.getvalue()
+    assert transcript.count("ORA-00900: invalid SQL statement") == 3
 
 
 def test_strict_exit_code(tmp_path):
