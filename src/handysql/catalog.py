@@ -12,13 +12,14 @@ list stays empty, and a function from the database to its rows.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import constraints as checks
 from .errors import OraError, violation_error
 from .evaluate import Test, compile_predicate, kind_mismatch, predicate_nodes
-from .lexer import TokenKind
+from .lexer import KEYWORDS, TokenKind
 from .nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, CheckBody, ColumnRef,
     CreateTable, FallbackBody, Predicate, PrimaryKeyBody, UniqueBody,
@@ -144,6 +145,15 @@ BUILTINS: dict[str, tuple[Table,
 
 Position = tuple[int, int]  # (line, column)
 
+# What the lexer reads as an identifier, before it folds it to upper case.
+_IDENTIFIER = re.compile(r"[^\W\d][\w$#]*")
+
+
+def _is_name(name: str) -> bool:
+    """Whether DDL could have written the name: an upper-case identifier."""
+    return (_IDENTIFIER.fullmatch(name) is not None and name.upper() == name
+            and name not in KEYWORDS)
+
 
 def define_table(db: Database, name: str,
                  columns: Iterable[tuple[ColumnSchema, Position]],
@@ -152,16 +162,24 @@ def define_table(db: Database, name: str,
 
     A name that a stored table or a built-in already has is 955 at
     `at`, and a column name that an earlier column has is 957 at its
-    own position.  columns is read one by one after the name passes;
-    nothing is added unless every column does.
+    own position.  A table or column name that is no upper-case
+    identifier, and a table without columns, are 904, which only a
+    snapshot can reach past the parser.  columns is read one by one
+    after the name passes; nothing is added unless every column does.
     """
+    if not _is_name(name):
+        raise OraError(904, *at)
     if name in db.tables or name in BUILTINS:
         raise OraError(955, *at)
     table = Table(name, [])
     for col, pos in columns:
+        if not _is_name(col.name):
+            raise OraError(904, *pos)
         if table.find(col.name) is not None:
             raise OraError(957, *pos)
         table.columns.append(col)
+    if not table.columns:
+        raise OraError(904, *at)
     db.tables[name] = table
 
 
@@ -237,9 +255,8 @@ def add_constraint(db: Database, stmt: AlterAddConstraint) -> str:
 
     if isinstance(stmt.body, (PrimaryKeyBody, UniqueBody)):
         kind = "PK" if isinstance(stmt.body, PrimaryKeyBody) else "UNIQUE"
-        if kind == "PK" and any(c.kind == "PK" and c.table == stmt.table
-                                for c in db.constraints):
-            raise OraError(2260, stmt.line, stmt.column)
+        if kind == "PK":
+            require_no_primary_key(db, stmt.table, (stmt.line, stmt.column))
         for col in stmt.body.columns:
             if table.find(col) is None:
                 raise OraError(904, stmt.line, stmt.column)
@@ -258,6 +275,12 @@ def add_constraint(db: Database, stmt: AlterAddConstraint) -> str:
     return "Table altered."
 
 
+def require_no_primary_key(db: Database, table: str, at: Position) -> None:
+    """2260 at `at` when the table already has a PRIMARY KEY."""
+    if any(c.kind == "PK" and c.table == table for c in db.constraints):
+        raise OraError(2260, *at)
+
+
 def _narrowing(old: SqlType, new: SqlType) -> bool:
     if isinstance(old, NumberType) and isinstance(new, NumberType):
         return (new.precision - new.scale < old.precision - old.scale
@@ -273,7 +296,9 @@ def modify_column(db: Database, stmt: AlterModify) -> str:
     """ALTER TABLE ... MODIFY: widen a type and/or flip nullability.
 
     Only same-kind, non-narrowing type changes are allowed (1439), and
-    the column is replaced by one of the new type, with its codec.
+    the column is replaced by one of the new type, with its codec,
+    through which the stored values are coerced again: a wider scale
+    gives them its fraction digits, as it does every later INSERT.
     Setting NOT NULL, unless a constraint already covers the column,
     validates the rows against a new NOTNULL constraint (2296) and
     registers it under a generated SYS_C name; dropping it removes the
@@ -301,8 +326,13 @@ def modify_column(db: Database, stmt: AlterModify) -> str:
                                     table.rows) is not None:
             raise OraError(2296)
 
-    table.columns[table.index_of(col.name)] = ColumnSchema(col.name,
-                                                           new_type)
+    index = table.index_of(col.name)
+    if new_type != col.type:
+        # Widening fits every stored value, so this cannot raise.
+        coerce = codec(new_type).coerce
+        for row in table.rows:
+            row[index] = coerce(row[index])
+    table.columns[index] = ColumnSchema(col.name, new_type)
     if not_null is not None:
         not_null.name = next_sys_name(db)
         db.constraints.append(not_null)

@@ -14,12 +14,16 @@ FALSE violates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import is_, itemgetter
 from typing import TYPE_CHECKING
 
 from .evaluate import FALSE
 from .values import SqlValue
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .catalog import ConstraintDef, Database
 
 NULL_COLUMN = "null column"
@@ -48,11 +52,17 @@ def not_null_sources(db: Database, table: str) -> dict[str, ConstraintDef]:
     return sources
 
 
+def _has_null(values: Iterable[SqlValue]) -> bool:
+    # By identity: `None in values` compares each Decimal with ==,
+    # which takes several times as long.
+    return any(map(is_, values, repeat(None)))
+
+
 def check_row(db: Database, table: str, row: list[SqlValue],
               existing: list[list[SqlValue]]) -> Violation | None:
     """First violation a candidate row would cause, or None."""
     schema = db.tables[table]
-    if None in row:
+    if _has_null(row):
         not_null = not_null_sources(db, table)
         for col, value in zip(schema.columns, row):
             if value is None and col.name in not_null:
@@ -64,7 +74,7 @@ def check_row(db: Database, table: str, row: list[SqlValue],
         if c.kind in ("PK", "UNIQUE"):
             positions = [schema.index_of(name) for name in c.columns]
             key = [row[i] for i in positions]
-            if None in key:
+            if _has_null(key):
                 continue
             # A stored key holding a NULL never equals this one.
             for ordinal, other in enumerate(existing):
@@ -78,7 +88,11 @@ def check_row(db: Database, table: str, row: list[SqlValue],
 
 def validate_existing(db: Database, table: str, candidate: ConstraintDef,
                       rows: list[list[SqlValue]]) -> Violation | None:
-    """First violation of a prospective constraint over stored rows."""
+    """First violation of a prospective constraint over stored rows.
+
+    A key's rows pass when their keys without a NULL are as many as the
+    set of those keys; only a known violation is looked for row by row.
+    """
     if candidate.kind == "CHECK":
         test = candidate.test
         for ordinal, row in enumerate(rows):
@@ -87,20 +101,26 @@ def validate_existing(db: Database, table: str, candidate: ConstraintDef,
         return None
     schema = db.tables[table]
     positions = [schema.index_of(name) for name in candidate.columns]
-    if candidate.kind in ("NOTNULL", "PK"):
+    # A one-column key is its value, a wider one the tuple of its values.
+    keys = list(map(itemgetter(*positions), rows))
+    if len(positions) == 1:
+        present = [key for key in keys if key is not None]
+    else:
+        present = [key for key in keys if not _has_null(key)]
+    if len(present) < len(keys) and candidate.kind != "UNIQUE":
         for ordinal, row in enumerate(rows):
             for i in positions:
                 if row[i] is None:
                     return Violation(candidate, NULL_COLUMN, ordinal)
-        if candidate.kind == "NOTNULL":
-            return None
     # Equal keys hash equal, Decimal('1.0') and Decimal('1') included.
+    if candidate.kind == "NOTNULL" or len(set(present)) == len(present):
+        return None
     seen: set[tuple[SqlValue, ...]] = set()
     for ordinal, row in enumerate(rows):
         key = tuple([row[i] for i in positions])
-        if None in key:
+        if _has_null(key):
             continue
         if key in seen:
             return Violation(candidate, DUPLICATE_KEY, ordinal)
         seen.add(key)
-    return None
+    raise AssertionError("a repeated key was counted but not found")

@@ -19,7 +19,11 @@ no cell.  \\e reads as nothing: saves writes it only in front of a row
 line that would otherwise be blank (the empty text of a one-column
 table) or start with "ROWS ", so that every row it writes loads again.
 Each column's codec (ColumnSchema.codec) writes and reads its cells:
-dates as YYYY-MM-DD, numbers in plain positional notation.  A CHECK body is its
+dates as YYYY-MM-DD, numbers in plain positional notation.  A ROWS
+section is read a column at a time.  A column whose cells hold no
+escape and pass its codec's bulk check, as every column saves writes
+does, is read by C builtins; any other is read cell by cell, to the
+same values and the same first error in row order.  A CHECK body is its
 predicate's SQL text; one whose literals hold a newline or a carriage
 return is escaped as a cell is, behind a leading backslash, which no SQL
 text starts with.  A PK or UNIQUE line lists its columns with commas,
@@ -30,8 +34,10 @@ Database record, tables holding their rows, and re-validates every row
 against its column types and all constraints, so a snapshot edited into
 an inconsistent state is rejected rather than trusted.  Each table goes
 through catalog.define_table, as CREATE TABLE's do: a name in use, the
-built-ins' included (955), or a repeated column name (957) is an error
-that names its line.
+built-ins' included (955), a repeated column name (957), a table or
+column name that is no upper-case identifier, or a table without
+columns (904) is an error that names its line, as is a second PK line
+on one table (2260).
 """
 
 from __future__ import annotations
@@ -39,11 +45,11 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-from collections.abc import Callable
+from itertools import repeat
 
 from .catalog import (
     ColumnSchema, ConstraintDef, Database, Position, Table, check_constraint,
-    define_table,
+    define_table, require_no_primary_key,
 )
 from .constraints import not_null_sources, validate_existing
 from .errors import OraError
@@ -146,47 +152,15 @@ def save(db: Database, path: str) -> None:
         raise
 
 
-def _row_decoder(table: Table) -> Callable[[str], list[SqlValue]]:
-    """A function reading one ROWS line of a table into a row."""
-    decoders = [col.codec.decode for col in table.columns]
-    width = len(decoders)
-
-    def decode_row(line: str) -> list[SqlValue]:
-        cells = line.split("\t")
-        if len(cells) != width:
-            raise SnapshotError(f"row width {len(cells)} != {width} columns")
-        row: list[SqlValue] = []
-        append = row.append
-        try:
-            for cell, decode in zip(cells, decoders):
-                if "\\" in cell:
-                    if cell == _NULL:
-                        append(None)
-                        continue
-                    cell = _unescape_cell(cell)
-                append(decode(cell))
-        except (OraError, ValueError, ArithmeticError) as err:
-            # The cell that failed is the one after those decoded.
-            text = _unescape_cell(cells[len(row)])
-            name = table.columns[len(row)].name
-            raise SnapshotError(
-                f"bad value {text!r} for column {name}: {err}") from None
-        return row
-
-    return decode_row
-
-
 def loads(text: str) -> Database:
-    lines = text.split("\n")
+    head, rows_follow, sections = text.partition("\nROWS ")
+    lines = head.split("\n")
     if lines[0] != _MAGIC:
         raise SnapshotError("not a database snapshot")
     db = Database()
     # A TABLE line's name, line number and columns, defined at the
     # first line after it that is not a COL line.
     pending: tuple[str, int, list[tuple[ColumnSchema, Position]]] | None = None
-    # The rows of the current ROWS section and their decoder.
-    rows: list[list[SqlValue]] | None = None
-    decode_row: Callable[[str], list[SqlValue]] | None = None
     # (position in the constraint list, name, table, body) of each CHECK,
     # compiled once every column is known.
     pending_checks: list[tuple[int, str, str, str]] = []
@@ -197,9 +171,7 @@ def loads(text: str) -> Database:
         if pending is not None and not line.startswith("COL "):
             _define(db, *pending)
             pending = None
-        if rows is not None and not line.startswith("ROWS "):
-            rows.append(decode_row(line))
-        elif line.startswith("TABLE "):
+        if line.startswith("TABLE "):
             pending = (line[6:], lineno, [])
             flagged[line[6:]] = set()
         elif line.startswith("COL "):
@@ -225,6 +197,12 @@ def loads(text: str) -> Database:
             if table not in db.tables:
                 raise SnapshotError(
                     f"line {lineno}: constraint on unknown table {table}")
+            if kind == "PK":
+                try:
+                    require_no_primary_key(db, table, (lineno, 1))
+                except OraError as err:
+                    raise SnapshotError(
+                        f"line {lineno}: table {table}: {err}") from None
             if kind in ("PK", "UNIQUE"):
                 con = ConstraintDef(cname, table, kind,
                                     columns=tuple(detail.split(",")))
@@ -248,16 +226,21 @@ def loads(text: str) -> Database:
                 db.sys_name_counter = int(line[8:])
             except ValueError:
                 raise SnapshotError(f"line {lineno}: bad counter") from None
-        elif line.startswith("ROWS "):
-            name = line[5:]
-            if name not in db.tables:
-                raise SnapshotError(f"line {lineno}: rows for unknown {name}")
-            rows = db.tables[name].rows
-            decode_row = _row_decoder(db.tables[name])
         else:
             raise SnapshotError(f"line {lineno}: unexpected line {line!r}")
     if pending is not None:
         _define(db, *pending)
+
+    # Every line after the first ROWS line is a row or starts a section.
+    lineno = len(lines) + 1
+    for section in sections.split("\nROWS ") if rows_follow else ():
+        name, _, body = section.partition("\n")
+        if name not in db.tables:
+            raise SnapshotError(f"line {lineno}: rows for unknown {name}")
+        table = db.tables[name]
+        row_lines = list(filter(None, body.split("\n")))
+        table.rows += _decode_rows(table, row_lines)
+        lineno += section.count("\n") + 1
 
     for idx, cname, table, body in pending_checks:
         try:
@@ -270,6 +253,82 @@ def loads(text: str) -> Database:
 
     _validate(db, flagged)
     return db
+
+
+def _decode_rows(table: Table, lines: list[str]) -> list[list[SqlValue]]:
+    """A ROWS section's non-blank lines as rows, read a column at a time.
+
+    The first bad cell in row order is the error reported, and a row of
+    the wrong width only when the rows before it read.
+    """
+    if not lines:
+        return []
+    width = len(table.columns)
+    if set(map(str.count, lines, repeat("\t"))) != {width - 1}:
+        bad = next(i for i, line in enumerate(lines)
+                   if line.count("\t") != width - 1)
+        _decode_rows(table, lines[:bad])
+        found = lines[bad].count("\t") + 1
+        raise SnapshotError(f"row width {found} != {width} columns")
+    flat = "\t".join(lines).split("\t")
+    columns = []
+    failures = []  # (row, column, error) of each column's first bad cell
+    for i, column in enumerate(table.columns):
+        values, error = _decode_column(column, flat[i::width])
+        if error is not None:
+            failures.append((len(values), i, error))
+        columns.append(values)
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
+    return list(map(list, zip(*columns)))
+
+
+def _decode_column(column: ColumnSchema, cells: list[str]
+                   ) -> tuple[list[SqlValue], SnapshotError | None]:
+    """A column's values and any bad cell's error, as _decode_cells.
+
+    Unless a cell other than a NULL holds a backslash, the codec reads
+    the column in bulk; only a column holding an escape or a cell it
+    turns away is read again cell by cell.
+    """
+    nulls = cells.count(_NULL)
+    if "".join(cells).count("\\") == nulls:
+        texts = [cell for cell in cells if cell != _NULL] if nulls else cells
+        try:
+            values = column.codec.decode(texts) if texts else []
+        except (OraError, ValueError, ArithmeticError):
+            pass
+        else:
+            if nulls:
+                # No text is \N, so get gives each NULL cell None.
+                values = list(map(dict(zip(texts, values)).get, cells))
+            return values, None
+    return _decode_cells(column, cells)
+
+
+def _decode_cells(column: ColumnSchema, cells: list[str]
+                  ) -> tuple[list[SqlValue], SnapshotError | None]:
+    """A column's cells read one at a time, and the first one's error.
+
+    The values stop before a cell that does not read, and its error
+    comes with them; the error is None when every cell reads.
+    """
+    decode = column.codec.decode
+    values: list[SqlValue] = []
+    for cell in cells:
+        if cell == _NULL:
+            values.append(None)
+            continue
+        try:
+            text = _unescape_cell(cell)
+        except SnapshotError as err:
+            return values, err
+        try:
+            values += decode([text])
+        except (OraError, ValueError, ArithmeticError) as err:
+            return values, SnapshotError(
+                f"bad value {text!r} for column {column.name}: {err}")
+    return values, None
 
 
 def _define(db: Database, name: str, lineno: int,

@@ -181,14 +181,15 @@ class Codec:
     """How the values of one column type enter and leave the engine.
 
     coerce fits an INSERT literal, or NULL, into the type, or raises
-    its ORA error.  decode reads the text of a non-NULL snapshot cell,
-    its escapes already undone, or raises OraError, ValueError or
-    ArithmeticError.  encode writes a non-NULL value as its snapshot
+    its ORA error.  decode reads a column of non-NULL snapshot cell
+    texts, their escapes already undone, into values, or raises
+    OraError, ValueError or ArithmeticError for the first text that
+    does not read.  encode writes a non-NULL value as its snapshot
     cell, escapes included.  display gives a non-NULL value's text in a
     result set, where right_aligned columns are padded on the left.
     """
     coerce: Callable[[SqlValue], SqlValue]
-    decode: Callable[[str], SqlValue]
+    decode: Callable[[list[str]], list[SqlValue]]
     encode: Callable[[SqlValue], str]
     display: Callable[[SqlValue], str]
     right_aligned: bool
@@ -205,7 +206,9 @@ def codec(sql_type: SqlType) -> Codec:
     Text is never implicitly accepted as a number (1722); other
     cross-kind moves are 932.  Snapshot numbers are plain positional
     text, dates YYYY-MM-DD and nothing else, and text escapes
-    backslash, tab, newline and carriage return.
+    backslash, tab, newline and carriage return.  A column of the texts
+    encode writes passes one bulk check and is read by C builtins; any
+    other column is read a text at a time, to the same values.
     """
     if isinstance(sql_type, NumberType):
         return _number_codec(sql_type)
@@ -243,8 +246,46 @@ def _number_codec(t: NumberType) -> Codec:
             return None
         raise OraError(1722 if isinstance(value, str) else 932)
 
-    return Codec(coerce, lambda text: fit(Decimal(text)), format_number,
-                 _number_text, True)
+    def read(text: str) -> Decimal:
+        return fit(Decimal(text))
+
+    canonical = _canonical_numbers(t)
+
+    def decode(texts: list[str]) -> list[SqlValue]:
+        if canonical.fullmatch("\t".join(texts)):
+            return list(map(Decimal, texts))
+        return _decode_each(read, texts)
+
+    return Codec(coerce, decode, format_number, _number_text, True)
+
+
+def _canonical_numbers(t: NumberType) -> re.Pattern[str]:
+    """Tab-separated number texts as format_number writes a type's values.
+
+    Each has exactly scale fraction digits, at most precision - scale
+    integer digits with no leading zero, and no negative zero, so that
+    Decimal(text) is already what fit(Decimal(text)) makes of it.  A
+    text holding a tab can match as two, but Decimal turns it away as
+    fit(Decimal(text)) does.
+    """
+    whole = t.precision - t.scale
+    if not t.scale:
+        cell = rf"-?[1-9][0-9]{{0,{whole - 1}}}|0"
+    else:
+        # Below 10 ** (precision - scale), the first fraction digits of
+        # a scale beyond the precision are zeros.
+        lead = max(0, -whole)
+        fraction = "0" * lead + f"[0-9]{{{t.scale - lead}}}"
+        cell = rf"0\.{fraction}|-0\.(?=0*[1-9]){fraction}"
+        if whole > 0:
+            cell = rf"-?[1-9][0-9]{{0,{whole - 1}}}\.{fraction}|{cell}"
+    return re.compile(rf"(?:{cell})(?:\t(?:{cell}))*")
+
+
+def _decode_each(read: Callable[[str], SqlValue],
+                 texts: list[str]) -> list[SqlValue]:
+    """A column's texts read one at a time: those no bulk check passes."""
+    return list(map(read, texts))
 
 
 def _text_codec(t: Varchar2Type) -> Codec:
@@ -262,7 +303,12 @@ def _text_codec(t: Varchar2Type) -> Codec:
             return None
         raise OraError(932)
 
-    return Codec(coerce, fit, escape_text, str, False)
+    def decode(texts: list[str]) -> list[SqlValue]:
+        if max(map(len, texts), default=0) > max_len:
+            raise OraError(12899)
+        return texts
+
+    return Codec(coerce, decode, escape_text, str, False)
 
 
 def _coerce_date(value: SqlValue) -> SqlValue:
@@ -276,11 +322,19 @@ def _coerce_date(value: SqlValue) -> SqlValue:
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_ISO_DATES = re.compile(rf"{_ISO_DATE.pattern}(?:\t{_ISO_DATE.pattern})*")
+
+
+def _decode_dates(texts: list[str]) -> list[SqlValue]:
+    # date.fromisoformat reads more forms on some Python versions than
+    # on others, so only the one saves writes gets that far.  A text
+    # holding a tab can match as two dates, which no form it reads is.
+    if _ISO_DATES.fullmatch("\t".join(texts)):
+        return list(map(datetime.date.fromisoformat, texts))
+    return _decode_each(_decode_date, texts)
 
 
 def _decode_date(text: str) -> datetime.date:
-    # date.fromisoformat reads more forms on some Python versions than
-    # on others, so only the one saves writes gets that far.
     if _ISO_DATE.fullmatch(text) is None:
         raise ValueError(f"Invalid isoformat string: {text!r}")
     return datetime.date.fromisoformat(text)
@@ -301,7 +355,7 @@ def escape_text(text: str) -> str:
                 .replace("\r", "\\r"))
 
 
-_DATE_CODEC = Codec(_coerce_date, _decode_date, datetime.date.isoformat,
+_DATE_CODEC = Codec(_coerce_date, _decode_dates, datetime.date.isoformat,
                     format_date, False)
 _KIND_CODECS = {Decimal: codec(NumberType()), str: codec(Varchar2Type(1)),
                 datetime.date: _DATE_CODEC}

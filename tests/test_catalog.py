@@ -196,6 +196,19 @@ def test_modify_widen_and_narrow(classroom):
     assert ora_code(kind_change) == 1439
 
 
+def test_modify_to_a_wider_scale_refits_stored_values(session):
+    blocks(session, "CREATE TABLE T(A NUMBER(2))",
+           "INSERT INTO T VALUES(1)")
+    block = run_sql(session, "ALTER TABLE T MODIFY A NUMBER(6,1)")
+    assert ora_code(block) is None
+    run_sql(session, "INSERT INTO T VALUES(2)")
+    block = run_sql(session, "SELECT A FROM T")
+    assert [line.strip() for line in block[3:5]] == ["1.0", "2.0"]
+    text = saves(session.db)
+    assert text.endswith("ROWS T\n1.0\n2.0\n")
+    assert saves(loads(text)) == text
+
+
 def test_modify_not_null_generates_sys_constraint(classroom):
     blocks(classroom, "ALTER TABLE STUDENTS MODIFY DOB DATE NOT NULL")
     names = run_sql(

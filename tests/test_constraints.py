@@ -1,7 +1,8 @@
+import datetime
 from decimal import Decimal
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference
 from handysql.catalog import (ColumnSchema, ConstraintDef, Database, Table,
@@ -9,7 +10,7 @@ from handysql.catalog import (ColumnSchema, ConstraintDef, Database, Table,
 from handysql.constraints import (DUPLICATE_KEY, FAILED_PREDICATE,
                                   NULL_COLUMN, check_row, validate_existing)
 from handysql.parser import parse_standalone_predicate
-from handysql.values import NumberType, Varchar2Type
+from handysql.values import DateType, NumberType, Varchar2Type
 
 
 SCHEMA = Table("T", [
@@ -164,30 +165,47 @@ def test_validate_existing_unique_allows_nulls():
 # Numbers spelled at several scales, so equal keys differ in Decimal form.
 _NUMBERS = ("0", "1", "1.0", "1.00", "-1", "-1.0", "2.5", "2.50")
 _REASONS = {NULL_COLUMN: "null", DUPLICATE_KEY: "duplicate"}
+KEY_TABLE = Table("T", [
+    ColumnSchema("A", NumberType(5, 2)),
+    ColumnSchema("B", NumberType(5, 2)),
+    ColumnSchema("C", Varchar2Type(10)),
+    ColumnSchema("D", DateType()),
+])
 
 
 @st.composite
 def key_tables(draw):
-    columns = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3,
+    """Rows of KEY_TABLE as dicts, and a key, NOT NULL or not over them."""
+    kind = draw(st.sampled_from(["PK", "UNIQUE", "NOTNULL"]))
+    columns = draw(st.lists(st.sampled_from("ABCD"), min_size=1,
+                            max_size=1 if kind == "NOTNULL" else 4,
                             unique=True))
     cell = {"A": st.sampled_from(_NUMBERS).map(Decimal),
             "B": st.sampled_from(_NUMBERS).map(Decimal),
-            "C": st.sampled_from(("x", "y"))}
+            "C": st.sampled_from(("x", "y")),
+            "D": st.dates(datetime.date(2020, 1, 1),
+                          datetime.date(2020, 1, 3))}
     rows = draw(st.lists(st.fixed_dictionaries(
-        {c: st.one_of(st.none(), cell[c]) for c in "ABC"}), max_size=12))
-    return tuple(columns), rows, draw(st.booleans())
+        {c: st.one_of(st.none(), cell[c]) for c in "ABCD"}), max_size=30))
+    return kind, tuple(columns), rows
 
 
+@settings(max_examples=300)
 @given(key_tables())
 def test_validate_existing_keys_match_reference(table):
-    columns, rows, primary = table
-    candidate = pk(*columns) if primary else unique("U_T", *columns)
-    violation = validate_existing(build_catalog(), "T", candidate,
-                                  [[r["A"], r["B"], r["C"]] for r in rows])
+    kind, columns, rows = table
+    candidate = ConstraintDef("K_T", "T", kind, columns=columns)
+    violation = validate_existing(
+        Database(tables={"T": KEY_TABLE}), "T", candidate,
+        [[r["A"], r["B"], r["C"], r["D"]] for r in rows])
     as_fractions = [{c: Fraction(v) if isinstance(v, Decimal) else v
                      for c, v in r.items()} for r in rows]
-    expected = reference.existing_key_violation(as_fractions, columns,
-                                                primary)
+    if kind == "NOTNULL":
+        expected = next((("null", i) for i, r in enumerate(as_fractions)
+                         if reference.null_violation(r, columns)), None)
+    else:
+        expected = reference.existing_key_violation(as_fractions, columns,
+                                                    kind == "PK")
     if expected is None:
         assert violation is None
     else:

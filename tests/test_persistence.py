@@ -187,6 +187,27 @@ def test_builtin_table_name_rejected_as_create_table_does(name):
            f"line 2: table {name}: ORA-00955: name is already used")
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("TABLE T\nCOL A NUMBER NOTNULL\nCONSTRAINT P1 T PK A\n"
+                 "CONSTRAINT P2 T PK A\n",
+                 "line 5: table T: ORA-02260: table can have only one "
+                 "primary key", id="second-primary-key"),
+    pytest.param("TABLE T\nCOL  NUMBER NULL\n",
+                 "line 3: table T: ORA-00904: invalid identifier",
+                 id="empty-column-name"),
+    pytest.param("TABLE t\nCOL A NUMBER NULL\n",
+                 "line 2: table t: ORA-00904: invalid identifier",
+                 id="lower-case-table-name"),
+    pytest.param("TABLE T\nCOUNTER 5545\nROWS T\n",
+                 "line 2: table T: ORA-00904: invalid identifier",
+                 id="table-without-columns"),
+])
+def test_states_ddl_refuses_rejected_with_their_line(text, message):
+    with pytest.raises(SnapshotError) as info:
+        loads("HANDYDB 1\n" + text)
+    assert str(info.value) == message
+
+
 def test_repeated_table_name_rejected():
     reject("HANDYDB 1\nTABLE T\nCOL A NUMBER NULL\nTABLE T\n"
            "COL B NUMBER NULL\n", "line 4: table T: ORA-00955")
@@ -214,7 +235,10 @@ def test_duplicate_constraint_names_rejected():
 
 
 def test_rows_for_unknown_table_rejected():
-    reject("HANDYDB 1\nROWS T\n1\n", "T")
+    reject("HANDYDB 1\nROWS T\n1\n", "line 2: rows for unknown T")
+    # Lines count on through the sections before, blank lines included.
+    reject("HANDYDB 1\nTABLE T\nCOL A NUMBER NULL\n\nROWS T\n1\n\n2\n"
+           "ROWS U\n", "line 9: rows for unknown U")
 
 
 def test_row_width_mismatch_rejected():
