@@ -13,6 +13,7 @@ list stays empty, and a function from the database to its rows.
 from __future__ import annotations
 
 import re
+import unicodedata
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -145,14 +146,30 @@ BUILTINS: dict[str, tuple[Table,
 
 Position = tuple[int, int]  # (line, column)
 
-# What the lexer reads as an identifier, before it folds it to upper case.
+# Names as DDL writes them.  The lexer reads an identifier as
+# [^\W\d][\w$#]* whose first character is a letter or "_", and folds
+# it to upper case.
 _IDENTIFIER = re.compile(r"[^\W\d][\w$#]*")
+# A character and the characters after it that no identifier holds.  A
+# few letters upper-case to a letter and combining marks ("ǰ" to "J" and
+# U+030C), which compose back to that one letter once lower-cased.
+_MARKED = re.compile(r"[\w$#][^\w$#]+")
+
+
+def _unfold(marked: re.Match[str]) -> str:
+    letter = unicodedata.normalize("NFC", marked[0].lower())
+    return letter if letter.upper() == marked[0] else marked[0]
 
 
 def _is_name(name: str) -> bool:
-    """Whether DDL could have written the name: an upper-case identifier."""
-    return (_IDENTIFIER.fullmatch(name) is not None and name.upper() == name
-            and name not in KEYWORDS)
+    """Whether DDL could have written the name: a folded identifier."""
+    if name.isupper() and name.isascii() and name.isidentifier():
+        return name not in KEYWORDS  # most names, in three C calls
+    if name.upper() != name or name in KEYWORDS:
+        return False
+    typed = _MARKED.sub(_unfold, name)
+    return (_IDENTIFIER.fullmatch(typed) is not None
+            and (typed[0].isalpha() or typed[0] == "_"))
 
 
 def define_table(db: Database, name: str,
@@ -162,10 +179,11 @@ def define_table(db: Database, name: str,
 
     A name that a stored table or a built-in already has is 955 at
     `at`, and a column name that an earlier column has is 957 at its
-    own position.  A table or column name that is no upper-case
-    identifier, and a table without columns, are 904, which only a
-    snapshot can reach past the parser.  columns is read one by one
-    after the name passes; nothing is added unless every column does.
+    own position.  A table or column name that is not an identifier as
+    the lexer reads and folds it to upper case, and a table without
+    columns, are 904, which only a snapshot can reach past the parser.
+    columns is read one by one after the name passes; nothing is added
+    unless every column does.
     """
     if not _is_name(name):
         raise OraError(904, *at)
@@ -296,9 +314,9 @@ def modify_column(db: Database, stmt: AlterModify) -> str:
     """ALTER TABLE ... MODIFY: widen a type and/or flip nullability.
 
     Only same-kind, non-narrowing type changes are allowed (1439), and
-    the column is replaced by one of the new type, with its codec,
-    through which the stored values are coerced again: a wider scale
-    gives them its fraction digits, as it does every later INSERT.
+    the column is replaced by one of the new type, with its codec.  A
+    larger NUMBER scale coerces the stored values again, which gives
+    them its fraction digits, as it does every later INSERT.
     Setting NOT NULL, unless a constraint already covers the column,
     validates the rows against a new NOTNULL constraint (2296) and
     registers it under a generated SYS_C name; dropping it removes the
@@ -327,8 +345,9 @@ def modify_column(db: Database, stmt: AlterModify) -> str:
             raise OraError(2296)
 
     index = table.index_of(col.name)
-    if new_type != col.type:
-        # Widening fits every stored value, so this cannot raise.
+    if isinstance(new_type, NumberType) and new_type.scale > col.type.scale:
+        # Only a larger scale changes a stored value, and it fits every
+        # one, so this cannot raise.
         coerce = codec(new_type).coerce
         for row in table.rows:
             row[index] = coerce(row[index])

@@ -35,9 +35,9 @@ against its column types and all constraints, so a snapshot edited into
 an inconsistent state is rejected rather than trusted.  Each table goes
 through catalog.define_table, as CREATE TABLE's do: a name in use, the
 built-ins' included (955), a repeated column name (957), a table or
-column name that is no upper-case identifier, or a table without
-columns (904) is an error that names its line, as is a second PK line
-on one table (2260).
+column name that CREATE TABLE could not have written, or a table
+without columns (904) is an error that names its line, as is a second
+PK line on one table (2260).
 """
 
 from __future__ import annotations
@@ -288,17 +288,14 @@ def _decode_column(column: ColumnSchema, cells: list[str]
     """A column's values and any bad cell's error, as _decode_cells.
 
     Unless a cell other than a NULL holds a backslash, the codec reads
-    the column in bulk; only a column holding an escape or a cell it
-    turns away is read again cell by cell.
+    the column in bulk; a column holding an escape or a cell its bulk
+    check turns away is read cell by cell instead.
     """
     nulls = cells.count(_NULL)
     if "".join(cells).count("\\") == nulls:
         texts = [cell for cell in cells if cell != _NULL] if nulls else cells
-        try:
-            values = column.codec.decode(texts) if texts else []
-        except (OraError, ValueError, ArithmeticError):
-            pass
-        else:
+        values = column.codec.decode_column(texts) if texts else []
+        if values is not None:
             if nulls:
                 # No text is \N, so get gives each NULL cell None.
                 values = list(map(dict(zip(texts, values)).get, cells))
@@ -324,7 +321,7 @@ def _decode_cells(column: ColumnSchema, cells: list[str]
         except SnapshotError as err:
             return values, err
         try:
-            values += decode([text])
+            values.append(decode(text))
         except (OraError, ValueError, ArithmeticError) as err:
             return values, SnapshotError(
                 f"bad value {text!r} for column {column.name}: {err}")

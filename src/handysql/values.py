@@ -181,15 +181,18 @@ class Codec:
     """How the values of one column type enter and leave the engine.
 
     coerce fits an INSERT literal, or NULL, into the type, or raises
-    its ORA error.  decode reads a column of non-NULL snapshot cell
-    texts, their escapes already undone, into values, or raises
-    OraError, ValueError or ArithmeticError for the first text that
-    does not read.  encode writes a non-NULL value as its snapshot
+    its ORA error.  decode reads the text of a non-NULL snapshot cell,
+    its escapes already undone, or raises OraError, ValueError or
+    ArithmeticError.  decode_column reads a column of such texts that
+    hold no tab and no backslash in one bulk check and one conversion,
+    to what decode makes of each, or gives None when some text is not
+    as encode writes it.  encode writes a non-NULL value as its snapshot
     cell, escapes included.  display gives a non-NULL value's text in a
     result set, where right_aligned columns are padded on the left.
     """
     coerce: Callable[[SqlValue], SqlValue]
-    decode: Callable[[list[str]], list[SqlValue]]
+    decode: Callable[[str], SqlValue]
+    decode_column: Callable[[list[str]], list[SqlValue] | None]
     encode: Callable[[SqlValue], str]
     display: Callable[[SqlValue], str]
     right_aligned: bool
@@ -207,8 +210,8 @@ def codec(sql_type: SqlType) -> Codec:
     cross-kind moves are 932.  Snapshot numbers are plain positional
     text, dates YYYY-MM-DD and nothing else, and text escapes
     backslash, tab, newline and carriage return.  A column of the texts
-    encode writes passes one bulk check and is read by C builtins; any
-    other column is read a text at a time, to the same values.
+    encode writes passes decode_column's bulk check and is read by C
+    builtins.
     """
     if isinstance(sql_type, NumberType):
         return _number_codec(sql_type)
@@ -246,17 +249,15 @@ def _number_codec(t: NumberType) -> Codec:
             return None
         raise OraError(1722 if isinstance(value, str) else 932)
 
-    def read(text: str) -> Decimal:
-        return fit(Decimal(text))
-
     canonical = _canonical_numbers(t)
 
-    def decode(texts: list[str]) -> list[SqlValue]:
+    def decode_column(texts: list[str]) -> list[SqlValue] | None:
         if canonical.fullmatch("\t".join(texts)):
             return list(map(Decimal, texts))
-        return _decode_each(read, texts)
+        return None
 
-    return Codec(coerce, decode, format_number, _number_text, True)
+    return Codec(coerce, lambda text: fit(Decimal(text)), decode_column,
+                 format_number, _number_text, True)
 
 
 def _canonical_numbers(t: NumberType) -> re.Pattern[str]:
@@ -264,9 +265,7 @@ def _canonical_numbers(t: NumberType) -> re.Pattern[str]:
 
     Each has exactly scale fraction digits, at most precision - scale
     integer digits with no leading zero, and no negative zero, so that
-    Decimal(text) is already what fit(Decimal(text)) makes of it.  A
-    text holding a tab can match as two, but Decimal turns it away as
-    fit(Decimal(text)) does.
+    Decimal(text) is already what fit(Decimal(text)) makes of it.
     """
     whole = t.precision - t.scale
     if not t.scale:
@@ -280,12 +279,6 @@ def _canonical_numbers(t: NumberType) -> re.Pattern[str]:
         if whole > 0:
             cell = rf"-?[1-9][0-9]{{0,{whole - 1}}}\.{fraction}|{cell}"
     return re.compile(rf"(?:{cell})(?:\t(?:{cell}))*")
-
-
-def _decode_each(read: Callable[[str], SqlValue],
-                 texts: list[str]) -> list[SqlValue]:
-    """A column's texts read one at a time: those no bulk check passes."""
-    return list(map(read, texts))
 
 
 def _text_codec(t: Varchar2Type) -> Codec:
@@ -303,12 +296,10 @@ def _text_codec(t: Varchar2Type) -> Codec:
             return None
         raise OraError(932)
 
-    def decode(texts: list[str]) -> list[SqlValue]:
-        if max(map(len, texts), default=0) > max_len:
-            raise OraError(12899)
-        return texts
+    def decode_column(texts: list[str]) -> list[SqlValue] | None:
+        return texts if max(map(len, texts), default=0) <= max_len else None
 
-    return Codec(coerce, decode, escape_text, str, False)
+    return Codec(coerce, fit, decode_column, escape_text, str, False)
 
 
 def _coerce_date(value: SqlValue) -> SqlValue:
@@ -325,19 +316,21 @@ _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _ISO_DATES = re.compile(rf"{_ISO_DATE.pattern}(?:\t{_ISO_DATE.pattern})*")
 
 
-def _decode_dates(texts: list[str]) -> list[SqlValue]:
-    # date.fromisoformat reads more forms on some Python versions than
-    # on others, so only the one saves writes gets that far.  A text
-    # holding a tab can match as two dates, which no form it reads is.
-    if _ISO_DATES.fullmatch("\t".join(texts)):
-        return list(map(datetime.date.fromisoformat, texts))
-    return _decode_each(_decode_date, texts)
-
-
 def _decode_date(text: str) -> datetime.date:
+    # date.fromisoformat reads more forms on some Python versions than
+    # on others, so only the one saves writes gets that far.
     if _ISO_DATE.fullmatch(text) is None:
         raise ValueError(f"Invalid isoformat string: {text!r}")
     return datetime.date.fromisoformat(text)
+
+
+def _decode_date_column(texts: list[str]) -> list[SqlValue] | None:
+    if _ISO_DATES.fullmatch("\t".join(texts)) is None:
+        return None
+    try:
+        return list(map(datetime.date.fromisoformat, texts))
+    except ValueError:  # a day the calendar lacks
+        return None
 
 
 def _number_text(value: Decimal) -> str:
@@ -355,8 +348,8 @@ def escape_text(text: str) -> str:
                 .replace("\r", "\\r"))
 
 
-_DATE_CODEC = Codec(_coerce_date, _decode_dates, datetime.date.isoformat,
-                    format_date, False)
+_DATE_CODEC = Codec(_coerce_date, _decode_date, _decode_date_column,
+                    datetime.date.isoformat, format_date, False)
 _KIND_CODECS = {Decimal: codec(NumberType()), str: codec(Varchar2Type(1)),
                 datetime.date: _DATE_CODEC}
 

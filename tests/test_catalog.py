@@ -1,9 +1,14 @@
+import sys
 from decimal import Decimal
 
+import pytest
 from conftest import make_session, ora_code, run_sql
 
+from handysql import catalog
 from handysql.catalog import SYS_NAME_SEED, Database, next_sys_name
 from handysql.conformance import load_fixture
+from handysql.errors import OraError
+from handysql.lexer import TokenKind, tokenize
 from handysql.persistence import loads, saves
 
 
@@ -56,6 +61,37 @@ def test_duplicate_table_is_955(session):
 def test_duplicate_column_in_create_is_957(session):
     assert ora_code(
         run_sql(session, "CREATE TABLE T(A NUMBER, A DATE)")) == 957
+
+
+def test_names_folded_to_combining_marks_create_and_round_trip(session):
+    # Upper case writes "ǰ" as J and U+030C, and "ẖ" as H and U+0331.
+    assert run_sql(session, "CREATE TABLE ǰ(ẖ NUMBER)") == [
+        "", "Table created.", ""]
+    run_sql(session, "INSERT INTO ǰ VALUES(1)")
+    text = saves(session.db)
+    assert "TABLE J\u030c\nCOL H\u0331 NUMBER NULL\n" in text
+    assert saves(loads(text)) == text
+
+
+def test_every_identifier_the_lexer_folds_is_a_name():
+    for code in range(sys.maxunicode + 1):
+        char = chr(code)
+        if char.upper() == char:
+            continue  # the name is the identifier itself
+        for text in (char + "Q", "Q" + char):
+            try:
+                tokens = tokenize(text)
+            except OraError:
+                continue
+            if len(tokens) == 1 and tokens[0].kind is TokenKind.IDENT:
+                assert catalog._is_name(tokens[0].lexeme), text
+
+
+@pytest.mark.parametrize("name", [
+    "", "a", "Qǰ", "SELECT", "1A", "\u00bdA", "A\u0301", "A-B", "$A",
+    "\u00b2"])
+def test_what_no_identifier_folds_to_is_no_name(name):
+    assert not catalog._is_name(name)
 
 
 def test_virtual_tables_cannot_be_shadowed_or_written(session):
