@@ -161,7 +161,7 @@ def _unfold(marked: re.Match[str]) -> str:
     return letter if letter.upper() == marked[0] else marked[0]
 
 
-def _is_name(name: str) -> bool:
+def is_name(name: str) -> bool:
     """Whether DDL could have written the name: a folded identifier."""
     if name.isupper() and name.isascii() and name.isidentifier():
         return name not in KEYWORDS  # most names, in three C calls
@@ -185,13 +185,13 @@ def define_table(db: Database, name: str,
     columns is read one by one after the name passes; nothing is added
     unless every column does.
     """
-    if not _is_name(name):
+    if not is_name(name):
         raise OraError(904, *at)
     if name in db.tables or name in BUILTINS:
         raise OraError(955, *at)
     table = Table(name, [])
     for col, pos in columns:
-        if not _is_name(col.name):
+        if not is_name(col.name):
             raise OraError(904, *pos)
         if table.find(col.name) is not None:
             raise OraError(957, *pos)

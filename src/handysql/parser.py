@@ -1,5 +1,11 @@
 """Recursive-descent parser with one-token lookahead.
 
+parse_text reads an INSERT INTO t [(cols)] VALUES (literals) with ASCII
+names, plain numbers, NULL and strings without a line break by one
+regex match, with no token list, into the tree and positions the token
+path gives.  Every other text goes through parse(tokenize(text)), so
+every error comes from the one general path.
+
 Grammar violations raise positioned OraErrors: an absent expression is
 936, junk where an alias or FROM belongs is 923, and anything outside
 the documented failure shapes falls back to 900.  A constraint clause
@@ -14,12 +20,13 @@ that goes deeper is 900, well before the interpreter's recursion limit.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from decimal import Decimal
 from typing import TypeVar
 
 from .errors import OraError
-from .lexer import AGGREGATE_FUNCS, Token, TokenKind, tokenize
+from .lexer import AGGREGATE_FUNCS, KEYWORDS, Token, TokenKind, tokenize
 from .nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, BoolOp, CheckBody,
     ColumnClause, ColumnRef, Comparison, CreateTable, Describe, Expr,
@@ -396,8 +403,77 @@ def parse(tokens: list[Token]) -> Statement:
     return _Parser(tokens).statement()
 
 
+# An INSERT of literals, read whole by one match of _INSERT: the table
+# name, the column list and the value list are its groups.  A name is
+# ASCII, and its lookahead keeps a backtrack from ending it early, so
+# "TVALUES" is never "T" "VALUES".  Keywords match ASCII letters only
+# ("(?ai:...)"), since IGNORECASE alone also takes "İ" for "i".  A
+# string holds no line break; "''" inside it stands for one quote.
+_NAME = r"[A-Za-z_][A-Za-z0-9_$\#]*(?![\w$\#])"
+_VALUE = r"""(?:-?[0-9]+(?:\.[0-9]+)?
+  | '[^'\n]*(?:''[^'\n]*)*'(?!')
+  | (?ai:null)(?![\w$\#]))"""
+_INSERT = re.compile(rf"""
+  \s*(?ai:insert)(?![\w$\#])\s*(?ai:into)(?![\w$\#])\s*({_NAME})\s*
+  (?:\((\s*{_NAME}\s*(?:,\s*{_NAME}\s*)*)\)\s*)?
+  (?ai:values)(?![\w$\#])\s*\((\s*{_VALUE}\s*(?:,\s*{_VALUE}\s*)*)\)\s*
+""", re.VERBOSE)
+# The items of a list _INSERT has matched, one match each: a number, a
+# string's body, or a word (a column name, or NULL).
+_ITEM = re.compile(r"(-?[0-9.]+)|'([^']*(?:''[^']*)*)'|[\w$\#]+")
+_new = tuple.__new__
+
+
+def _literal_insert(text: str) -> Insert | None:
+    """The Insert parse(tokenize(text)) gives, if _INSERT reads text.
+
+    Anything else, names that are keywords included, is None.  A
+    position is the lexer's: the line is one more than the count of
+    "\n" before it, the column its distance from the last of them.
+    """
+    m = _INSERT.fullmatch(text)
+    if m is None:
+        return None
+    table = m[1].upper()
+    if table in KEYWORDS:
+        return None
+    if "\n" in text:
+        def at(offset: int) -> tuple[int, int]:
+            return (text.count("\n", 0, offset) + 1,
+                    offset - text.rfind("\n", 0, offset))
+    else:
+        def at(offset: int) -> tuple[int, int]:
+            return 1, offset + 1
+    columns, column_positions = None, ()
+    if m[2] is not None:
+        names = list(_ITEM.finditer(text, *m.span(2)))
+        columns = tuple([name[0].upper() for name in names])
+        if not KEYWORDS.isdisjoint(columns):
+            return None
+        column_positions = tuple([at(name.start()) for name in names])
+    values = []
+    for item in _ITEM.finditer(text, *m.span(3)):
+        number, string = item.groups()
+        if number is not None:
+            value: Decimal | str | None = Decimal(number)
+        elif string is not None:
+            value = string.replace("''", "'")
+        else:
+            value = None
+        values.append(_new(Literal, (value, *at(item.start()))))
+    return _new(Insert, (table, columns, tuple(values), *at(m.start(1)),
+                         column_positions, at(m.end(3))))
+
+
 def parse_text(text: str) -> Statement:
-    return parse(tokenize(text))
+    """Parse one statement's text.
+
+    An INSERT of literals that _literal_insert reads skips the token
+    list; every other text, and so every error, goes through
+    parse(tokenize(text)).
+    """
+    stmt = _literal_insert(text)
+    return stmt if stmt is not None else parse(tokenize(text))
 
 
 def parse_standalone_predicate(text: str) -> Predicate:

@@ -37,7 +37,10 @@ through catalog.define_table, as CREATE TABLE's do: a name in use, the
 built-ins' included (955), a repeated column name (957), a table or
 column name that CREATE TABLE could not have written, or a table
 without columns (904) is an error that names its line, as is a second
-PK line on one table (2260).
+PK line on one table (2260).  So are a constraint name DDL could not
+have written, a second NOTNULL line on one column (MODIFY adds none to
+a column that has one) and a COUNTER other than the digits saves
+writes, with no sign and no leading zero.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from itertools import repeat
 
 from .catalog import (
     ColumnSchema, ConstraintDef, Database, Position, Table, check_constraint,
-    define_table, require_no_primary_key,
+    define_table, is_name, require_no_primary_key,
 )
 from .constraints import not_null_sources, validate_existing
 from .errors import OraError
@@ -73,6 +76,7 @@ class SnapshotError(Exception):
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "e": ""}
 # Leads a row line that would otherwise read as blank or as a header.
 _LEAD = "\\e"
+_COUNTER = re.compile("0|[1-9][0-9]*")
 _ESCAPE_SEQ = re.compile(r"\\(.?)", re.DOTALL)
 
 
@@ -194,6 +198,9 @@ def loads(text: str) -> Database:
             if len(parts) != 5:
                 raise SnapshotError(f"line {lineno}: bad CONSTRAINT line")
             _, cname, table, kind, detail = parts
+            if not is_name(cname):
+                raise SnapshotError(
+                    f"line {lineno}: bad constraint name {cname!r}")
             if table not in db.tables:
                 raise SnapshotError(
                     f"line {lineno}: constraint on unknown table {table}")
@@ -207,6 +214,11 @@ def loads(text: str) -> Database:
                 con = ConstraintDef(cname, table, kind,
                                     columns=tuple(detail.split(",")))
             elif kind == "NOTNULL":
+                # MODIFY ... NOT NULL adds none to a column that has one.
+                if any(c.kind == "NOTNULL" and c.table == table
+                       and c.columns == (detail,) for c in db.constraints):
+                    raise SnapshotError(f"line {lineno}: second NOTNULL on "
+                                        f"column {detail} of {table}")
                 con = ConstraintDef(cname, table, kind, columns=(detail,))
             elif kind == "CHECK":
                 con = ConstraintDef(cname, table, "CHECK")
@@ -222,10 +234,11 @@ def loads(text: str) -> Database:
                 raise SnapshotError(f"line {lineno}: bad kind {kind}")
             db.constraints.append(con)
         elif line.startswith("COUNTER "):
-            try:
-                db.sys_name_counter = int(line[8:])
-            except ValueError:
-                raise SnapshotError(f"line {lineno}: bad counter") from None
+            # Only the digits saves writes: int() would also take a
+            # sign, "_", spaces or digits outside ASCII.
+            if _COUNTER.fullmatch(line, 8) is None:
+                raise SnapshotError(f"line {lineno}: bad counter")
+            db.sys_name_counter = int(line[8:])
         else:
             raise SnapshotError(f"line {lineno}: unexpected line {line!r}")
     if pending is not None:

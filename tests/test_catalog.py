@@ -84,14 +84,14 @@ def test_every_identifier_the_lexer_folds_is_a_name():
             except OraError:
                 continue
             if len(tokens) == 1 and tokens[0].kind is TokenKind.IDENT:
-                assert catalog._is_name(tokens[0].lexeme), text
+                assert catalog.is_name(tokens[0].lexeme), text
 
 
 @pytest.mark.parametrize("name", [
     "", "a", "Qǰ", "SELECT", "1A", "\u00bdA", "A\u0301", "A-B", "$A",
     "\u00b2"])
 def test_what_no_identifier_folds_to_is_no_name(name):
-    assert not catalog._is_name(name)
+    assert not catalog.is_name(name)
 
 
 def test_virtual_tables_cannot_be_shadowed_or_written(session):

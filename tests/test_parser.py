@@ -1,17 +1,22 @@
 from decimal import Decimal
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import nested
 
+from handysql import parser
 from handysql.errors import OraError
+from handysql.lexer import KEYWORDS, tokenize
 from handysql.nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, BoolOp, CheckBody,
     ColumnClause, ColumnRef, Comparison, CreateTable, Describe, FallbackBody,
     Insert, IsNull, Literal, Not, PrimaryKeyBody, Select, SelectItem,
     TableRef, TypeSpec, UniqueBody,
 )
-from handysql.parser import MAX_NESTING, parse_text
+from handysql.parser import MAX_NESTING, parse, parse_text
 
 
 def fails_with(text, code, line=None, column=None):
@@ -327,3 +332,131 @@ def test_error_position_spans_lines():
 ])
 def test_early_end_is_reported_at_last_token(text, code, line, column):
     fails_with(text, code, line=line, column=column)
+
+
+# --- INSERTs of literals ---------------------------------------------
+
+# Whitespace the lexer skips: "\n" starts a line, the others do not.
+SPACES = " \t\n\r\x0b\x0c\x1c\xa0\u2003\u2028\u3000"
+ASCII_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_$#]{0,5}",
+                            fullmatch=True).filter(
+    lambda name: name.upper() not in KEYWORDS)
+LITERALS = st.one_of(
+    st.sampled_from(["-0", "007", "1.50", "''", "'it''s'", "NULL", "null"]),
+    st.from_regex(r"-?[0-9]{1,5}(\.[0-9]{1,3})?", fullmatch=True),
+    st.text("ab Z,()'-\té", max_size=6).map(
+        lambda body: "'" + body.replace("'", "''") + "'"),
+)
+# Names and values the token path reads or turns away by itself.
+ODD_NAMES = st.sampled_from([
+    "values", "Null", "into", "TVALUES", "Tà", "&X", "٣", "ǰ", '"Q"', "1A",
+]) | st.sampled_from(sorted(KEYWORDS))
+ODD_VALUES = st.sampled_from([
+    "nullx", "1.", "1e5", "- 1", "--1", "+1", ".5", "&X", "٣", "1٣",
+    "'a\nb'", "'", "'it's'", "X", "NULL1", '"Q"', "'a'''", "(1)",
+])
+DEFECTS = ("name", "value", "glue", "parenthesis", "empty", "junk")
+
+
+def mixed_case(word):
+    return st.tuples(*(st.sampled_from((c.lower(), c.upper()))
+                       for c in word)).map("".join)
+
+
+@st.composite
+def inserts(draw, near_miss=False):
+    """INSERT INTO t [(cols)] VALUES (literals), drawn part by part.
+
+    A near miss has one defect: an odd name or value, two words with
+    no space between them, a parenthesis left out or doubled, an empty
+    value list, or junk at the end.
+    """
+    defect = draw(st.sampled_from(DEFECTS)) if near_miss else None
+
+    def gap(min_size=0):
+        return draw(st.text(SPACES, min_size=min_size, max_size=2))
+
+    def listed(items):
+        body = gap()
+        for i, item in enumerate(items):
+            body += ("," + gap() if i else "") + item + gap()
+        return body
+
+    table = draw(ASCII_NAMES)
+    columns = draw(st.none() | st.lists(ASCII_NAMES, min_size=1,
+                                        max_size=4))
+    values = draw(st.lists(LITERALS, min_size=1, max_size=4))
+    # Between INSERT and INTO, INTO and t, and t and VALUES.
+    glues = [gap(1), gap(1), gap(1)]
+    parens = ["(", ")", "(", ")"]
+    if defect == "name":
+        at = draw(st.integers(0, len(columns or ())))
+        if at:
+            columns[at - 1] = draw(ODD_NAMES)
+        else:
+            table = draw(ODD_NAMES)
+    elif defect == "value":
+        values[draw(st.integers(0, len(values) - 1))] = draw(ODD_VALUES)
+    elif defect == "glue":
+        glues[draw(st.integers(0, 2))] = ""
+    elif defect == "parenthesis":
+        at = draw(st.integers(0, 3))
+        parens[at] = draw(st.sampled_from(["", parens[at] * 2]))
+    elif defect == "empty":
+        values = []
+
+    text = (gap() + draw(mixed_case("INSERT")) + glues[0]
+            + draw(mixed_case("INTO")) + glues[1] + table)
+    if columns is None:
+        text += glues[2]
+    else:
+        text += gap() + parens[0] + listed(columns) + parens[1] + gap()
+    text += (draw(mixed_case("VALUES")) + gap() + parens[2] + listed(values)
+             + parens[3] + gap())
+    if defect == "junk":
+        text += draw(st.sampled_from([";", " x", ",", ")", "(1)"]))
+    return text
+
+
+def tree(node):
+    """A node as nested tuples of class names and leaf reprs, so that
+    two trees are equal only with every position and value form."""
+    if isinstance(node, tuple):
+        return (type(node).__name__, *map(tree, node))
+    return repr(node)
+
+
+def outcome(read, text):
+    try:
+        return tree(read(text))
+    except OraError as err:
+        return err.code, err.line, err.column
+
+
+@settings(max_examples=400)
+@given(inserts() | inserts(near_miss=True))
+@example("INSERT INTO TVALUES (1)")
+@example("INSERT INTO T VALUES ()")
+@example("INSERT INTO T VALUES ((1)")
+@example("INSERT INTO T VALUES 1)")
+@example("INSERT INTO T VALUES (1) x")
+@example("INSERT INTO T VALUES ('a\nb', 2)")
+@example("INSERT INTO Tà VALUES (1)")
+# IGNORECASE would take "İ" for "i", which the lexer does not fold to I.
+@example("İNSERT INTO T VALUES (1)")
+@example("ınsert ınto T VALUES (1)")
+@example("insert into t\n(a,\tb)\u3000values\n( -0 ,'it''s' )\n")
+def test_parse_text_agrees_with_the_token_path(text):
+    assert outcome(parse_text, text) == outcome(
+        lambda t: parse(tokenize(t)), text)
+
+
+@settings(max_examples=200)
+@given(inserts())
+def test_well_formed_literal_inserts_skip_the_token_list(text):
+    # Every drawn name is ASCII and no drawn string holds a line break.
+    calls = []
+    with mock.patch.object(parser, "tokenize", side_effect=lambda t: (
+            calls.append(t) or tokenize(t))):
+        parse_text(text)
+    assert calls == []

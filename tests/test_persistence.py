@@ -201,11 +201,34 @@ def test_builtin_table_name_rejected_as_create_table_does(name):
     pytest.param("TABLE T\nCOUNTER 5545\nROWS T\n",
                  "line 2: table T: ORA-00904: invalid identifier",
                  id="table-without-columns"),
+    # next_sys_name would write SYS_C-00005; saves writes only digits.
+    pytest.param("TABLE T\nCOL A NUMBER NULL\nCOUNTER -5\n",
+                 "line 4: bad counter", id="negative-counter"),
+    # int() reads 1_0 as 10, which saves would write back as 10.
+    pytest.param("TABLE T\nCOL A NUMBER NULL\nCOUNTER 1_0\n",
+                 "line 4: bad counter", id="underscored-counter"),
+    pytest.param("TABLE T\nCOL A NUMBER NULL\nCOUNTER \u0663\n",
+                 "line 4: bad counter", id="arabic-indic-counter"),
+    pytest.param("TABLE T\nCOL A NUMBER NULL\nCONSTRAINT lower T UNIQUE A\n",
+                 "line 4: bad constraint name 'lower'",
+                 id="lower-case-constraint-name"),
+    pytest.param("TABLE T\nCOL A NUMBER NOTNULL\nCONSTRAINT N1 T NOTNULL A\n"
+                 "CONSTRAINT N2 T NOTNULL A\n",
+                 "line 5: second NOTNULL on column A of T",
+                 id="second-notnull"),
 ])
 def test_states_ddl_refuses_rejected_with_their_line(text, message):
     with pytest.raises(SnapshotError) as info:
         loads("HANDYDB 1\n" + text)
     assert str(info.value) == message
+
+
+def test_primary_key_and_not_null_on_one_column_load():
+    # DDL makes this: MODIFY ... NOT NULL, then a PK on the same column.
+    text = ("HANDYDB 1\nTABLE T\nCOL A NUMBER NOTNULL\n"
+            "CONSTRAINT SYS_C005545 T NOTNULL A\nCONSTRAINT P T PK A\n"
+            "COUNTER 5546\nROWS T\n1\n")
+    assert saves(loads(text)) == text
 
 
 def test_repeated_table_name_rejected():
