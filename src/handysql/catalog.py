@@ -259,7 +259,9 @@ def add_constraint(db: Database, stmt: AlterAddConstraint) -> str:
 
     A clause that is not PRIMARY KEY/UNIQUE/CHECK is re-read as an
     attempt to add a column; if it names an existing column the result
-    is 1430, marked at the start of the clause.
+    is 1430, marked at the start of the clause.  A key column the table
+    lacks (904) or that the key lists twice (957) is marked at the
+    constraint name.
     """
     table = _stored_table(db, stmt)
     if isinstance(stmt.body, FallbackBody):
@@ -275,9 +277,11 @@ def add_constraint(db: Database, stmt: AlterAddConstraint) -> str:
         kind = "PK" if isinstance(stmt.body, PrimaryKeyBody) else "UNIQUE"
         if kind == "PK":
             require_no_primary_key(db, stmt.table, (stmt.line, stmt.column))
-        for col in stmt.body.columns:
+        for i, col in enumerate(stmt.body.columns):
             if table.find(col) is None:
                 raise OraError(904, stmt.line, stmt.column)
+            if col in stmt.body.columns[:i]:
+                raise OraError(957, stmt.line, stmt.column)
         definition = ConstraintDef(stmt.name, stmt.table, kind,
                                    columns=stmt.body.columns)
     else:

@@ -20,10 +20,15 @@ line that would otherwise be blank (the empty text of a one-column
 table) or start with "ROWS ", so that every row it writes loads again.
 Each column's codec (ColumnSchema.codec) writes and reads its cells:
 dates as YYYY-MM-DD, numbers in plain positional notation.  A ROWS
-section is read a column at a time.  A column whose cells hold no
-escape and pass its codec's bulk check, as every column saves writes
-does, is read by C builtins; any other is read cell by cell, to the
-same values and the same first error in row order.  A CHECK body is its
+section is written and read a column at a time.  saves writes a number
+column as str's texts and a text column as its values, each checked
+once over the whole column, and a date column as ISO texts; only a
+number column where str writes an exponent, or a text column holding a
+backslash, tab, newline or carriage return, is written cell by cell
+through its codec.  A column whose cells hold no escape and pass its
+codec's bulk check, as every column saves writes does, is read by C
+builtins; any other is read cell by cell, to the same values and the
+same first error in row order.  A CHECK body is its
 predicate's SQL text; one whose literals hold a newline or a carriage
 return is escaped as a cell is, behind a leading backslash, which no SQL
 text starts with.  A PK or UNIQUE line lists its columns with commas,
@@ -37,7 +42,8 @@ through catalog.define_table, as CREATE TABLE's do: a name in use, the
 built-ins' included (955), a repeated column name (957), a table or
 column name that CREATE TABLE could not have written, or a table
 without columns (904) is an error that names its line, as is a second
-PK line on one table (2260).  So are a constraint name DDL could not
+PK line on one table (2260), and a PK or UNIQUE line that lists a
+column twice (957).  So are a constraint name DDL could not
 have written, a second NOTNULL line on one column (MODIFY adds none to
 a column that has one) and a COUNTER other than the digits saves
 writes, with no sign and no leading zero.
@@ -59,7 +65,7 @@ from .errors import OraError
 from .parser import parse_standalone_predicate
 from .render import render_predicate
 from .values import (
-    SqlValue, Varchar2Type, escape_text, parse_type_display,
+    NumberType, SqlValue, Varchar2Type, escape_text, parse_type_display,
     type_display,
 )
 
@@ -123,9 +129,7 @@ def saves(db: Database) -> str:
     lines.append(f"COUNTER {db.sys_name_counter}")
     for name, table in db.tables.items():
         lines.append(f"ROWS {name}")
-        encoders = [col.codec.encode for col in table.columns]
-        cells = [[_NULL if v is None else encode(v) for v in column]
-                 for encode, column in zip(encoders, zip(*table.rows))]
+        cells = list(map(_encode_column, table.columns, zip(*table.rows)))
         if cells and isinstance(table.columns[0].type, Varchar2Type):
             # Only a text cell can be empty or start like a header.
             one_column = len(cells) == 1
@@ -211,8 +215,11 @@ def loads(text: str) -> Database:
                     raise SnapshotError(
                         f"line {lineno}: table {table}: {err}") from None
             if kind in ("PK", "UNIQUE"):
-                con = ConstraintDef(cname, table, kind,
-                                    columns=tuple(detail.split(",")))
+                columns = tuple(detail.split(","))
+                if len(set(columns)) != len(columns):
+                    raise SnapshotError(f"line {lineno}: table {table}: "
+                                        f"{OraError(957)}")
+                con = ConstraintDef(cname, table, kind, columns=columns)
             elif kind == "NOTNULL":
                 # MODIFY ... NOT NULL adds none to a column that has one.
                 if any(c.kind == "NOTNULL" and c.table == table
@@ -314,6 +321,33 @@ def _decode_column(column: ColumnSchema, cells: list[str]
                 values = list(map(dict(zip(texts, values)).get, cells))
             return values, None
     return _decode_cells(column, cells)
+
+
+def _encode_column(column: ColumnSchema, values: tuple[SqlValue, ...]
+                   ) -> list[str]:
+    """A column's cells, as its codec's encode writes each, NULL as \\N.
+
+    A number column is str's texts unless one holds an exponent, a text
+    column its values as they are unless one holds a character that
+    escape_text escapes, and a date column its ISO texts; a column that
+    fails its check is written cell by cell through the codec instead.
+    """
+    if isinstance(column.type, NumberType):
+        # An "is None" per cell: "None in values" would make each
+        # Decimal compare itself with None.
+        cells = [_NULL if v is None else str(v) for v in values]
+        if "E" not in "".join(cells):
+            return cells
+    elif isinstance(column.type, Varchar2Type):
+        # Only the values: a NULL's \N holds a backslash.
+        texts = "".join(filter(None, values))
+        if not ("\\" in texts or "\t" in texts or "\n" in texts
+                or "\r" in texts):
+            return [_NULL if v is None else v for v in values]
+    else:
+        return [_NULL if v is None else v.isoformat() for v in values]
+    encode = column.codec.encode
+    return [_NULL if v is None else encode(v) for v in values]
 
 
 def _decode_cells(column: ColumnSchema, cells: list[str]

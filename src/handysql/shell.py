@@ -14,7 +14,6 @@ column is padded to its widest cell.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import re
 import sys
@@ -90,19 +89,6 @@ def parse_bind(line: str) -> tuple[str, str] | None:
     return (name.strip(), value) if eq else None
 
 
-def _skip_comments(stream: TextIO, binds: list[tuple[str, str]]) -> None:
-    """Consume the "--" lines next in a script, collecting their binds."""
-    while True:
-        start = stream.tell()
-        line = stream.readline()
-        if not line.lstrip().startswith("--"):
-            stream.seek(start)
-            return
-        bind = parse_bind(line)
-        if bind is not None:
-            binds.append(bind)
-
-
 def read_statement(read_line: Callable[[str], str | None]) -> str | None:
     """Next statement text, or None when the session should end.
 
@@ -145,6 +131,8 @@ def substitute_variables(
     it would have shown, so both modes emit identical transcripts.
     Every occurrence is resolved afresh.
     """
+    if "&" not in text:
+        return text, []
     lines: list[str] = []
     remaining = list(bindings) if bindings is not None else None
 
@@ -243,25 +231,45 @@ def repl(session: Session) -> None:
 def run_script(session: Session, path: str) -> None:
     """Execute a statement file, writing the full transcript.
 
-    The file becomes the session's input, read as from a pipe, so the
-    transcript matches what a piped interactive session typing the same
-    lines would produce, except that lines starting with "--" at
+    The transcript is the one a piped interactive session typing the
+    same lines would produce, except that lines starting with "--" at
     statement start are not echoed; "-- bind name=value" lines among
-    them supply substitution values for the next statement.
+    them supply substitution values for the next statement.  The file
+    is read once, its line ends as open() reads them, and cut into
+    lines at each "\n" (str.splitlines would also cut at a form feed or
+    another separator inside a literal).  read_statement splits every
+    statement before the first one runs, since no statement reads input
+    in script mode, and each statement's echoed input and output block
+    go out in one write.
     """
     with open(path) as fh:
-        session.instream = io.StringIO(fh.read())
-    session.echo_input = True
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()  # what follows the last line break is no line
+    lines.reverse()  # popped from the end, the first line last
+    echoed: list[str] = []  # the prompts and lines shown since a statement
     binds: list[tuple[str, str]] = []
+    statements = []
 
     def read_line(prompt: str) -> str | None:
         if prompt == PROMPT:
-            _skip_comments(session.instream, binds)
-        return session.read_line(prompt)
+            while lines and lines[-1].lstrip().startswith("--"):
+                bind = parse_bind(lines.pop())
+                if bind is not None:
+                    binds.append(bind)
+        line = lines.pop() if lines else None
+        if not session.quiet:
+            echoed.append(prompt if line is None else prompt + line)
+        return line
 
     while (text := read_statement(read_line)) is not None:
-        _emit(session, execute_statement(session, text, binds))
-        binds = []
+        statements.append((echoed, text, binds))
+        echoed, binds = [], []
+    for shown, text, bindings in statements:
+        block = execute_statement(session, text, bindings)
+        session.out.write("\n".join([*shown, *block, ""]))
+    if echoed:
+        session.out.write("\n".join([*echoed, ""]))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,6 +26,7 @@ formatter with the engine.
 from __future__ import annotations
 
 import datetime
+import io
 import random
 import re
 import string
@@ -40,6 +41,7 @@ from handysql.nodes import (AggregateCall, AlterAddConstraint, AlterModify,
                             IsNull, Literal, Not, PrimaryKeyBody, Select,
                             UniqueBody)
 from handysql.persistence import SnapshotError
+from handysql import shell
 from handysql.render import render_expr, render_predicate
 from handysql.values import (DateType, NumberType, Varchar2Type,
                              parse_date_text)
@@ -877,3 +879,43 @@ def sql_literal(value) -> str:
             return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
         return f"{sign}{digits}"
     return str(value)
+
+
+# --- script replay, a line at a time ----------------------------------
+
+def _skip_comments(stream, binds: list[tuple[str, str]]) -> None:
+    """Consume the "--" lines next in a script, collecting their binds."""
+    while True:
+        start = stream.tell()
+        line = stream.readline()
+        if not line.lstrip().startswith("--"):
+            stream.seek(start)
+            return
+        bind = shell.parse_bind(line)
+        if bind is not None:
+            binds.append(bind)
+
+
+def run_script(session, path: str) -> None:
+    """shell.run_script as a piped session reads: one line at a time.
+
+    The file becomes the session's input stream, each line goes through
+    Session.read_line's prompt, echo and flush, "--" lines at statement
+    start are skipped by tell, readline and seek, and each statement
+    runs as soon as read_statement returns it, its lines written one at
+    a time.
+    """
+    with open(path) as fh:
+        session.instream = io.StringIO(fh.read())
+    session.echo_input = True
+    binds: list[tuple[str, str]] = []
+
+    def read_line(prompt: str):
+        if prompt == shell.PROMPT:
+            _skip_comments(session.instream, binds)
+        return session.read_line(prompt)
+
+    while (text := shell.read_statement(read_line)) is not None:
+        for line in shell.execute_statement(session, text, binds):
+            session.out.write(line + "\n")
+        binds = []

@@ -147,6 +147,20 @@ def test_constraint_on_unknown_column_is_904(classroom):
     assert ora_code(block) == 904
 
 
+@pytest.mark.parametrize("body, code", [
+    ("PRIMARY KEY (S_ROLL, S_ROLL)", 957),
+    ("UNIQUE(S_NAME, S_PHONE, S_NAME)", 957),
+    # Each column in turn: unknown before repeated, repeated before unknown.
+    ("UNIQUE(NOPE, NOPE)", 904),
+    ("UNIQUE(S_NAME, S_NAME, NOPE)", 957),
+])
+def test_key_naming_a_column_twice_is_957(classroom, body, code):
+    before = saves(classroom.db)
+    block = run_sql(classroom, f"ALTER TABLE STUDENTS ADD CONSTRAINT K {body}")
+    assert ora_code(block) == code
+    assert saves(classroom.db) == before
+
+
 def test_constraint_on_unknown_table_is_942(session):
     block = run_sql(
         session, "ALTER TABLE NOWHERE ADD CONSTRAINT U UNIQUE(A)")

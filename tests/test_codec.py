@@ -8,6 +8,7 @@ for error, except in three places where the oracles are wrong:
     writes, whatever date.fromisoformat accepts on this Python.
 """
 
+import dataclasses
 import datetime
 import re
 from decimal import Decimal
@@ -340,6 +341,89 @@ def test_saved_cells_load_in_bulk(db):
         persistence._decode_cells = decode_cells
     assert saves(copy) == text
     assert calls == sum(saved_columns(text))
+
+
+def one_table(*columns):
+    """A database of one table T, from (type, values) pairs per column."""
+    types = [t for t, _ in columns]
+    rows = [[codec(t).coerce(v) for t, v in zip(types, row)]
+            for row in zip(*(values for _, values in columns))]
+    return Database(tables={"T": Table(
+        "T", [ColumnSchema(f"C{i}", t) for i, t in enumerate(types)],
+        rows)})
+
+
+def expected_rows_lines(table):
+    """The ROWS lines of a table, a cell at a time by the oracle.
+
+    A row whose text first cell would leave its line blank (the only
+    cell) or reading as a header gets \\e in front.
+    """
+    lead = isinstance(table.columns[0].type, Varchar2Type)
+    lines = []
+    for row in table.rows:
+        line = "\t".join(map(reference.escape_cell, row))
+        first = reference.escape_cell(row[0])
+        if lead and ((first == "" and len(row) == 1)
+                     or first.startswith("ROWS ")):
+            line = "\\e" + line
+        lines.append(line)
+    return lines
+
+
+@settings(max_examples=120)
+@given(tables())
+@example(one_table((NumberType(38, 20), [Decimal("0.0000001"), None]),
+                   (NumberType(1, 12), [None, Decimal("0.000000000009")])))
+@example(one_table((Varchar2Type(6), ["a\\b", None]),
+                   (Varchar2Type(6), ["x", "\t"]),
+                   (Varchar2Type(6), [None, "x\ny"]),
+                   (Varchar2Type(6), ["\r", ""])))
+@example(one_table((Varchar2Type(6), [None, "x", None, "", "yz"]),
+                   (NumberType(3), [Decimal(1), None, Decimal(-2),
+                                    Decimal(0), None]),
+                   (DateType(), [None, datetime.date(1990, 8, 29),
+                                 datetime.date(1, 1, 1), None, None])))
+@example(one_table((Varchar2Type(8), ["ROWS x", "ROWS T", "ROWSx"]),
+                   (Varchar2Type(2), ["", None, "a"])))
+@example(one_table((Varchar2Type(6), ["", "ROWS x", None, "x"])))
+def test_saved_rows_match_the_cell_at_a_time_oracle(db):
+    """saves writes a column at a time what escape_cell writes per cell."""
+    text = saves(db)
+    lines = text.split("\nROWS T\n", 1)[1].split("\n")[:-1]
+    assert lines == expected_rows_lines(db.tables["T"])
+
+
+def test_clean_columns_are_saved_without_a_call_per_cell(monkeypatch):
+    """Numbers without exponents, texts without escapes, and dates."""
+    db = one_table(
+        (NumberType(5, 2), [Decimal("1.5"), None, Decimal("-0.25")]),
+        (NumberType(), [Decimal(10 ** 37), Decimal(7), None]),
+        (Varchar2Type(9), [None, "plain", "ROWS x"]),
+        (DateType(), [datetime.date(2020, 2, 29), None,
+                      datetime.date(1, 1, 1)]))
+    expected = saves(db)
+    calls = 0
+
+    def counting(encode):
+        def wrapper(value):
+            nonlocal calls
+            calls += 1
+            return encode(value)
+        return wrapper
+
+    table = db.tables["T"]
+    for column in table.columns:
+        object.__setattr__(column, "codec", dataclasses.replace(
+            column.codec, encode=counting(column.codec.encode)))
+    monkeypatch.setattr(persistence, "escape_text",
+                        counting(persistence.escape_text))
+    assert saves(db) == expected
+    assert calls == 0
+    # An escaped text sends its own column, and only it, cell by cell.
+    table.rows[0][2] = "a\tb"
+    saves(db)
+    assert calls == len(table.rows)
 
 
 # --- result sets ------------------------------------------------------

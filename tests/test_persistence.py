@@ -216,6 +216,15 @@ def test_builtin_table_name_rejected_as_create_table_does(name):
                  "CONSTRAINT N2 T NOTNULL A\n",
                  "line 5: second NOTNULL on column A of T",
                  id="second-notnull"),
+    # ALTER TABLE ... ADD CONSTRAINT refuses a key that repeats a column.
+    pytest.param("TABLE T\nCOL A NUMBER NOTNULL\nCOL B NUMBER NULL\n"
+                 "CONSTRAINT P T PK A,A\n",
+                 "line 5: table T: ORA-00957: duplicate column name",
+                 id="primary-key-repeats-a-column"),
+    pytest.param("TABLE T\nCOL A NUMBER NULL\nCOL B NUMBER NULL\n"
+                 "CONSTRAINT U T UNIQUE B,A,B\n",
+                 "line 5: table T: ORA-00957: duplicate column name",
+                 id="unique-repeats-a-column"),
 ])
 def test_states_ddl_refuses_rejected_with_their_line(text, message):
     with pytest.raises(SnapshotError) as info:

@@ -4,10 +4,13 @@ import sys
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference
 from conftest import make_session, ora_code, run_sql
 
 from handysql.executor import ResultSet
+from handysql.persistence import saves
 from handysql.shell import (PROMPT, continuation_prompt, main,
                             read_statement, render_result_set, run_script,
                             substitute_variables)
@@ -204,6 +207,53 @@ def test_bind_directives_feed_substitution(tmp_path):
     assert "Enter value for v: 42" in proc.stdout
     assert "-- bind" not in proc.stdout
     assert "42" in proc.stdout
+
+
+# Script lines: comments and binds, slashes, exits, statements over
+# several lines, an unbound marker, and literals holding characters
+# str.splitlines would break a line at.
+SCRIPT_LINES = [
+    "", "   ", "\t", "-- a comment", "  -- bind v=7", "-- bind w= 'x y'",
+    "--bind V=8", "-- bind", "--", "/", "  /  ", "exit", "exit;", "QUIT",
+    "quit ;", "CREATE TABLE T(A NUMBER(3), B VARCHAR2(9));",
+    "INSERT INTO T VALUES(&v, 'a');", "INSERT INTO T VALUES(1, '&w')",
+    "SELECT A, B", "FROM T;", "  -- a comment inside a statement",
+    "SELECT 'p\x0cq', 'r\x0bs', 'u\x85v', 'x\u2028y', '\x1c' FROM DUAL;",
+    "SELECT '&nobody' FROM DUAL;", "SELECT * FROM T WHERE A = &v;",
+    "SELECT * FROM NOPE;", "SELECT 1 FROM DUAL",
+]
+
+
+@st.composite
+def scripts(draw):
+    """A script's text, its lines ended by LF, CRLF or a lone CR."""
+    lines = draw(st.lists(st.tuples(st.sampled_from(SCRIPT_LINES),
+                                    st.sampled_from(["\n", "\r\n", "\r"])),
+                          max_size=12))
+    text = "".join(line + end for line, end in lines)
+    if lines and draw(st.booleans()):
+        text = text[:-len(lines[-1][1])]  # no final line break
+    return text
+
+
+@settings(max_examples=60, deadline=None)
+@given(scripts())
+@example("-- bind v=5\r\nINSERT INTO T VALUES(&v, 'a')\r/\nSELECT '\x0c'"
+         " FROM DUAL;\nSELECT '&nobody' FROM DUAL;\nSELECT A\n  2")
+@example("\n\n-- bind v=1\n\nexit\nSELECT 1 FROM DUAL;\n")
+def test_script_replay_matches_the_line_at_a_time_reference(tmp_path_factory,
+                                                            text):
+    path = tmp_path_factory.mktemp("script") / "s.sql"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    for quiet in (False, True):
+        got, expected = make_session(), make_session()
+        got.quiet = expected.quiet = quiet
+        run_script(got, str(path))
+        reference.run_script(expected, str(path))
+        assert got.out.getvalue() == expected.out.getvalue()
+        assert got.error_count == expected.error_count
+        assert saves(got.db) == saves(expected.db)
 
 
 def test_statements_nested_too_deep_are_error_blocks(tmp_path):
