@@ -54,21 +54,21 @@ class Table:
     name: str
     columns: list[ColumnSchema]
     rows: list[list[SqlValue]] = field(default_factory=list)
+    # The table's PRIMARY KEY and UNIQUE constraints, in creation order:
+    # the same ConstraintDefs as in Database.constraints, appended with
+    # them by add_constraint and by snapshot loading.  Keys are never
+    # dropped or changed, so the two stay in step.
+    keys: list[ConstraintDef] = field(default_factory=list)
 
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    def find(self, name: str) -> ColumnSchema | None:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        return None
-
-    def index_of(self, name: str) -> int:
+    def index_of(self, name: str) -> int | None:
+        """Position of the column of that name, or None if none has it."""
         for i, col in enumerate(self.columns):
             if col.name == name:
                 return i
-        raise KeyError(name)
+        return None
 
 
 @dataclass
@@ -97,10 +97,11 @@ def check_constraint(name: str, table: Table,
         raise OraError(934, aggs[0].line, aggs[0].column)
     slot_of: dict[ColumnRef, int] = {}
     for ref in predicate_nodes(predicate, ColumnRef):
+        index = table.index_of(ref.name)
         if ((ref.qualifier is not None and ref.qualifier != table.name)
-                or table.find(ref.name) is None):
+                or index is None):
             raise OraError(904, ref.line, ref.column)
-        slot_of[ref] = table.index_of(ref.name)
+        slot_of[ref] = index
 
     def type_of(ref: ColumnRef) -> SqlType:
         return table.columns[slot_of[ref]].type
@@ -193,7 +194,7 @@ def define_table(db: Database, name: str,
     for col, pos in columns:
         if not is_name(col.name):
             raise OraError(904, *pos)
-        if table.find(col.name) is not None:
+        if table.index_of(col.name) is not None:
             raise OraError(957, *pos)
         table.columns.append(col)
     if not table.columns:
@@ -278,7 +279,7 @@ def add_constraint(db: Database, stmt: AlterAddConstraint) -> str:
         if kind == "PK":
             require_no_primary_key(db, stmt.table, (stmt.line, stmt.column))
         for i, col in enumerate(stmt.body.columns):
-            if table.find(col) is None:
+            if table.index_of(col) is None:
                 raise OraError(904, stmt.line, stmt.column)
             if col in stmt.body.columns[:i]:
                 raise OraError(957, stmt.line, stmt.column)
@@ -294,6 +295,8 @@ def add_constraint(db: Database, stmt: AlterAddConstraint) -> str:
     if violation is not None:
         raise violation_error(violation)
     db.constraints.append(definition)
+    if definition.kind in ("PK", "UNIQUE"):
+        table.keys.append(definition)
     return "Table altered."
 
 
@@ -328,9 +331,10 @@ def modify_column(db: Database, stmt: AlterModify) -> str:
     NULL.
     """
     table = _stored_table(db, stmt)
-    col = table.find(stmt.change.name)
-    if col is None:
+    index = table.index_of(stmt.change.name)
+    if index is None:
         raise OraError(904, stmt.line, stmt.column)
+    col = table.columns[index]
     spec = stmt.change.type_spec
     new_type = normalize_type(spec.keyword, spec.args, spec.line, spec.column)
     if _narrowing(col.type, new_type):
@@ -348,7 +352,6 @@ def modify_column(db: Database, stmt: AlterModify) -> str:
                                     table.rows) is not None:
             raise OraError(2296)
 
-    index = table.index_of(col.name)
     if isinstance(new_type, NumberType) and new_type.scale > col.type.scale:
         # Only a larger scale changes a stored value, and it fits every
         # one, so this cannot raise.

@@ -13,11 +13,16 @@ rows before the join, the first equality of each later table with an
 earlier one becomes its hash join key, and the rest filter the joined
 rows.  Otherwise, and for a single table, ON and WHERE are compiled
 whole and filter the whole product, ON first, so errors come as from a
-plain nested loop.  Running pulls rows through generators, left to
-right over the FROM list, and keeps nested-loop order: rows follow the
-first table's insertion order, then the second table's within each,
-and so on.  A comma join with a WHERE filter is the same computation
-as INNER JOIN ... ON.  Join output is all left-table columns then all
+plain nested loop.  A single stored table whose WHERE cannot raise, and
+whose top-level AND conjuncts set every column of one PRIMARY KEY or
+UNIQUE key equal to a non-NULL literal, finds the one row that can pass
+with a single C-level search of the keys, and WHERE runs on that row
+alone; the rows, their order and the errors stay those of the scan.
+Running pulls rows through generators, left to right over the FROM
+list, and keeps nested-loop order: rows follow the first table's
+insertion order, then the second table's within each, and so on.  A
+comma join with a WHERE filter is the same computation as INNER JOIN
+... ON.  Join output is all left-table columns then all
 right-table columns, in schema order, names un-renamed.
 
 The select list is read only once every filtered row is in hand, so
@@ -35,7 +40,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from operator import itemgetter
+from operator import indexOf, itemgetter
 from typing import NamedTuple
 
 from . import catalog as cat_mod
@@ -102,9 +107,9 @@ def execute_insert(db: Database, stmt: Insert) -> Feedback:
     if stmt.columns is not None:
         targets: list[int] = []
         for name, pos in zip(stmt.columns, stmt.column_positions):
-            if table.find(name) is None:
-                raise OraError(904, *pos)
             idx = table.index_of(name)
+            if idx is None:
+                raise OraError(904, *pos)
             if idx in targets:
                 raise OraError(957, *pos)
             targets.append(idx)
@@ -166,10 +171,9 @@ class _Scope:
         for source in self.sources:
             if ref.qualifier is not None and ref.qualifier not in source.keys:
                 continue
-            col = source.table.find(ref.name)
-            if col is not None:
-                matches.append(source.offset
-                               + source.table.index_of(ref.name))
+            index = source.table.index_of(ref.name)
+            if index is not None:
+                matches.append(source.offset + index)
         if not matches:
             raise OraError(904, ref.line, ref.column)
         if len(matches) > 1:
@@ -296,12 +300,59 @@ def _matching_rows(scope: _Scope, on: Predicate | None,
                 rows = _passing(rows,
                                 compile_predicate(on, slot_of, type_of)[0])
             placed = None
-        rows = _passing(rows, compile_predicate(pred, slot_of, type_of)[0])
+        test, raises = compile_predicate(pred, slot_of, type_of)
+        if not raises and len(scope.sources) == 1:
+            rows = _probed(scope.sources[0], pred)
+        rows = _passing(rows, test)
         if pred is on:
             # ON errors outrank every WHERE error, so ON runs over the
             # whole product before WHERE is even resolved.
             rows = list(rows)
     return rows if placed is None else _pushed_down(scope, placed)
+
+
+def _probed(source: _Source, where: Predicate) -> list[Row]:
+    """The rows of one source that may pass a WHERE that cannot raise.
+
+    When the top-level AND conjuncts of the form column = non-NULL
+    literal, either way round, pin every column of one PRIMARY KEY or
+    UNIQUE key of a stored table, only the row holding that key can
+    pass, and one C-level search finds it: stored keys are unique, and
+    == is the comparison's =.  Otherwise every row may pass.  A column
+    pinned twice is searched by its first literal; WHERE still runs on
+    the row found.
+    """
+    table = source.table
+    if not table.keys:
+        return source.rows
+    conjs: Iterable[Predicate] = (
+        _conjuncts(where) if type(where) is BoolOp and where.op == "AND"
+        else (where,))
+    pinned: dict[str, SqlValue] = {}
+    for conj in conjs:
+        if type(conj) is not Comparison:
+            continue
+        op, col, lit, _, _ = conj
+        if type(col) is Literal:
+            col, lit = lit, col
+        if (op == "=" and type(col) is ColumnRef and type(lit) is Literal
+                and lit.value is not None):
+            pinned.setdefault(col.name, lit.value)
+    if not pinned:
+        return source.rows
+    for key in table.keys:
+        if key.columns[0] in pinned and all(
+                map(pinned.__contains__, key.columns)):
+            break
+    else:
+        return source.rows
+    # A one-column key is its value, a wider one the tuple of its values.
+    wanted = itemgetter(*key.columns)(pinned)
+    at = map(itemgetter(*map(table.index_of, key.columns)), table.rows)
+    try:
+        return [table.rows[indexOf(at, wanted)]]
+    except ValueError:
+        return []
 
 
 def _pushed_down(scope: _Scope, conjs: list[_Conjunct]) -> Iterable[Row]:

@@ -220,6 +220,7 @@ def loads(text: str) -> Database:
                     raise SnapshotError(f"line {lineno}: table {table}: "
                                         f"{OraError(957)}")
                 con = ConstraintDef(cname, table, kind, columns=columns)
+                db.tables[table].keys.append(con)
             elif kind == "NOTNULL":
                 # MODIFY ... NOT NULL adds none to a column that has one.
                 if any(c.kind == "NOTNULL" and c.table == table
@@ -401,7 +402,7 @@ def _validate(db: Database, flagged: dict[str, set[str]]) -> None:
         seen.add(con.name)
         table = db.tables[con.table]
         for cname in con.columns:
-            if table.find(cname) is None:
+            if table.index_of(cname) is None:
                 raise SnapshotError(
                     f"constraint {con.name} names unknown column {cname}")
         violation = validate_existing(db, con.table, con, table.rows)

@@ -281,6 +281,38 @@ def existing_key_violation(rows: list[dict], columns,
     return None
 
 
+def row_violation(constraints, columns, existing: list[dict],
+                  row: dict) -> tuple[int, str, int] | None:
+    """First (constraint index, reason, ordinal) a new row would report.
+
+    constraints are (kind, columns, predicate) triples in creation
+    order, kind one of "notnull", "pk", "unique" and "check", and
+    columns are the table's in order.  NOT NULL comes first: the first
+    column holding NULL that a NOT NULL or primary key lists violates
+    the first constraint listing it, at the new row's ordinal.  Then
+    each constraint in turn: a key violates at the first stored row
+    holding the same key, unless the new key holds a NULL, and a CHECK
+    violates on FALSE, at the new row's ordinal.
+    """
+    for col in columns:
+        if row[col] is not None:
+            continue
+        for i, (kind, cols, _) in enumerate(constraints):
+            if kind in ("notnull", "pk") and col in cols:
+                return (i, "null", len(existing))
+    for i, (kind, cols, pred) in enumerate(constraints):
+        if kind in ("pk", "unique"):
+            key = [row[c] for c in cols]
+            if any(v is None for v in key):
+                continue
+            for ordinal, other in enumerate(existing):
+                if [other[c] for c in cols] == key:
+                    return (i, "duplicate", ordinal)
+        elif kind == "check" and check_violation(pred, row):
+            return (i, "check", len(existing))
+    return None
+
+
 # --- tree-walking predicate oracle -----------------------------------
 
 def interpret_expr(expr, resolve):

@@ -211,3 +211,84 @@ def test_validate_existing_keys_match_reference(table):
     else:
         assert violation is not None and violation.constraint is candidate
         assert (_REASONS[violation.reason], violation.row_ordinal) == expected
+
+
+# CHECK predicates over KEY_TABLE, as SQL and as reference tuples.
+_CHECKS = (
+    ("A >= 0", ("cmp", ">=", ("col", "A"), ("lit", 0))),
+    ("A < B OR D IS NULL",
+     ("or", ("cmp", "<", ("col", "A"), ("col", "B")),
+      ("isnull", ("col", "D"), False))),
+    ("NOT (C = 'x')", ("not", ("cmp", "=", ("col", "C"), ("lit", "x")))),
+)
+_ROW_REASONS = {NULL_COLUMN: "null", DUPLICATE_KEY: "duplicate",
+                FAILED_PREDICATE: "check"}
+
+
+@st.composite
+def checked_rows(draw):
+    """Constraints on KEY_TABLE, stored rows and a candidate row.
+
+    Each constraint comes with its reference.row_violation triple.
+    Keys span one or two columns and at most one is a PRIMARY KEY.
+    Rows need not meet the constraints, and the candidate is often a
+    stored row with its numbers at another scale.
+    """
+    constraints = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["NOTNULL", "PK", "UNIQUE", "CHECK"]))
+        if kind == "PK" and any(c.kind == "PK" for c, _ in constraints):
+            kind = "UNIQUE"
+        name = f"C{i}"
+        if kind == "CHECK":
+            text, pred = draw(st.sampled_from(_CHECKS))
+            constraints.append((check_constraint(
+                name, KEY_TABLE, parse_standalone_predicate(text)),
+                ("check", (), pred)))
+            continue
+        columns = tuple(draw(st.lists(
+            st.sampled_from("ABCD"), min_size=1,
+            max_size=1 if kind == "NOTNULL" else 2, unique=True)))
+        constraints.append((ConstraintDef(name, "T", kind, columns=columns),
+                            (kind.lower(), columns, None)))
+    cell = {"A": st.sampled_from(_NUMBERS).map(Decimal),
+            "B": st.sampled_from(_NUMBERS).map(Decimal),
+            "C": st.sampled_from(("x", "y")),
+            "D": st.dates(datetime.date(2020, 1, 1),
+                          datetime.date(2020, 1, 2))}
+    # A quarter of the cells are NULL.
+    row = st.tuples(*(st.one_of(st.none(), cell[c], cell[c], cell[c])
+                      for c in "ABCD")).map(list)
+    existing = draw(st.lists(row, max_size=12))
+    if existing and draw(st.booleans()):
+        candidate = [v.quantize(Decimal("0.001")) if isinstance(v, Decimal)
+                     else v for v in draw(st.sampled_from(existing))]
+    else:
+        candidate = draw(row)
+    return constraints, existing, candidate
+
+
+def _as_dict(row):
+    return {c: Fraction(v) if isinstance(v, Decimal) else v
+            for c, v in zip("ABCD", row)}
+
+
+@settings(max_examples=400)
+@given(checked_rows())
+def test_check_row_matches_brute_force_oracle(case):
+    """check_row reports reference.row_violation's constraint and ordinal."""
+    constraints, existing, candidate = case
+    db = Database(tables={"T": KEY_TABLE},
+                  constraints=[c for c, _ in constraints])
+    violation = check_row(db, "T", candidate, existing)
+    expected = reference.row_violation(
+        [triple for _, triple in constraints], "ABCD",
+        [_as_dict(r) for r in existing], _as_dict(candidate))
+    if expected is None:
+        assert violation is None
+    else:
+        assert violation is not None
+        index = next(i for i, (c, _) in enumerate(constraints)
+                     if c is violation.constraint)
+        assert (index, _ROW_REASONS[violation.reason],
+                violation.row_ordinal) == expected

@@ -392,3 +392,69 @@ def test_failed_statement_leaves_database_unchanged(session, code, text):
     before = saves(session.db)
     assert ora_code(run_sql(session, text)) == code
     assert saves(session.db) == before
+
+
+@pytest.fixture
+def keyed(session):
+    """A 200-row table with a one-column PK and a two-column UNIQUE key.
+
+    W holds only NULLs, so a conjunct comparing it with a number can
+    raise but never does.
+    """
+    for text in ("CREATE TABLE R(ID NUMBER(5), GRP NUMBER(3), "
+                 "TAG VARCHAR2(5), W VARCHAR2(5))",
+                 "ALTER TABLE R ADD CONSTRAINT PK_R PRIMARY KEY (ID)",
+                 "ALTER TABLE R ADD CONSTRAINT UK_R UNIQUE (GRP, TAG)",
+                 "CREATE TABLE ONE(X NUMBER)",
+                 "INSERT INTO ONE VALUES(1)"):
+        run_sql(session, text)
+    for i in range(200):
+        run_sql(session,
+                f"INSERT INTO R VALUES({i}, {i // 4}, 'T{i % 4}', NULL)")
+    return session
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    calls = []
+    original = executor.eval_predicate
+    monkeypatch.setattr(executor, "eval_predicate",
+                        lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("SELECT * FROM R WHERE ID = 17", [[17, 4, "T1", None]]),
+    ("SELECT TAG FROM R X WHERE 17.0 = X.ID", [["T1"]]),
+    ("SELECT ID FROM R WHERE TAG = 'T3' AND R.GRP = 5", [[23]]),
+    ("SELECT ID FROM R WHERE ID = 17 AND GRP = 9", []),
+    ("SELECT ID FROM R WHERE ID = 17 AND ID = 18", []),
+    ("SELECT ID FROM R WHERE ID = 500", []),
+])
+def test_key_pinned_select_evaluates_at_most_one_row(keyed, evaluations,
+                                                     text, rows):
+    got = select(keyed, text).rows
+    assert [[_exact(v) for v in row] for row in got] == rows
+    assert len(evaluations) <= 1
+
+
+@pytest.mark.parametrize("text, evaluated", [
+    ("SELECT ID FROM R WHERE TAG = 'T1'", 200),  # not a key column
+    ("SELECT ID FROM R WHERE GRP = 5", 200),  # part of a key
+    ("SELECT ID FROM R WHERE ID = 17 AND W = 5", 200),  # can raise
+    ("SELECT ID FROM R WHERE ID = NULL", 200),
+    ("SELECT ID FROM R WHERE ID = 17 OR ID = 18", 200),
+    ("SELECT * FROM USER_CONSTRAINTS WHERE CONSTRAINT_NAME = 'PK_R'", 2),
+    ("SELECT R.ID FROM R, ONE WHERE R.ID = 17", 200),
+])
+def test_other_selects_evaluate_every_row(keyed, evaluations, text,
+                                          evaluated):
+    select(keyed, text)
+    assert len(evaluations) == evaluated
+
+
+def test_changing_a_key_pinned_row_leaves_the_table_alone(keyed):
+    before = saves(keyed.db)
+    rows = select(keyed, "SELECT * FROM R WHERE ID = 17").rows
+    rows[0][1] = Decimal(99)
+    assert saves(keyed.db) == before
