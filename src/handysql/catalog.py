@@ -23,7 +23,7 @@ from .evaluate import Test, compile_predicate, kind_mismatch, predicate_nodes
 from .lexer import KEYWORDS, TokenKind
 from .nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, CheckBody, ColumnRef,
-    CreateTable, FallbackBody, Predicate, PrimaryKeyBody, UniqueBody,
+    CreateTable, FallbackBody, Predicate, PrimaryKeyBody,
 )
 from .values import (
     Codec, DateType, NumberType, SqlType, SqlValue, Varchar2Type, codec,
@@ -56,8 +56,8 @@ class Table:
     rows: list[list[SqlValue]] = field(default_factory=list)
     # The table's PRIMARY KEY and UNIQUE constraints, in creation order:
     # the same ConstraintDefs as in Database.constraints, appended with
-    # them by add_constraint and by snapshot loading.  Keys are never
-    # dropped or changed, so the two stay in step.
+    # them in one place, install_constraint.  Keys are never dropped or
+    # changed, so the two stay in step.
     keys: list[ConstraintDef] = field(default_factory=list)
 
     def column_names(self) -> list[str]:
@@ -255,14 +255,51 @@ def _stored_table(db: Database, stmt) -> Table:
     return table
 
 
+def install_constraint(db: Database, definition: ConstraintDef,
+                       at: Position) -> checks.Violation | None:
+    """Add a constraint to its table: ALTER TABLE, MODIFY and snapshots.
+
+    In this order, at `at`: a name DDL could not have written is 904, a
+    name in use 2264, a second PRIMARY KEY 2260, and a key or NOTNULL
+    column the table lacks (904) or that a key lists twice (957); then a
+    CHECK's predicate is compiled (check_constraint).  Last the table's
+    rows are validated: their first violation is returned and nothing is
+    added.  Otherwise the constraint joins db.constraints and, a key,
+    its table's keys; nothing else appends to either.
+    """
+    if not is_name(definition.name):
+        raise OraError(904, *at)
+    if any(c.name == definition.name for c in db.constraints):
+        raise OraError(2264, *at)
+    if definition.kind == "PK" and any(
+            c.kind == "PK" and c.table == definition.table
+            for c in db.constraints):
+        raise OraError(2260, *at)
+    table = db.tables[definition.table]
+    for i, col in enumerate(definition.columns):
+        if table.index_of(col) is None:
+            raise OraError(904, *at)
+        if col in definition.columns[:i]:
+            raise OraError(957, *at)
+    if definition.kind == "CHECK":
+        definition = check_constraint(definition.name, table,
+                                      definition.predicate)
+    violation = checks.validate_existing(db, definition.table, definition,
+                                         table.rows)
+    if violation is None:
+        db.constraints.append(definition)
+        if definition.kind in ("PK", "UNIQUE"):
+            table.keys.append(definition)
+    return violation
+
+
 def add_constraint(db: Database, stmt: AlterAddConstraint) -> str:
     """ALTER TABLE ... ADD CONSTRAINT against the table's rows.
 
     A clause that is not PRIMARY KEY/UNIQUE/CHECK is re-read as an
     attempt to add a column; if it names an existing column the result
-    is 1430, marked at the start of the clause.  A key column the table
-    lacks (904) or that the key lists twice (957) is marked at the
-    constraint name.
+    is 1430, marked at the start of the clause.  Any other error is
+    install_constraint's, marked at the constraint name.
     """
     table = _stored_table(db, stmt)
     if isinstance(stmt.body, FallbackBody):
@@ -271,39 +308,17 @@ def add_constraint(db: Database, stmt: AlterAddConstraint) -> str:
         if names & set(table.column_names()):
             raise OraError(1430, stmt.line, stmt.column)
         raise OraError(900, stmt.line, stmt.column)
-    if any(c.name == stmt.name for c in db.constraints):
-        raise OraError(2264, stmt.line, stmt.column)
-
-    if isinstance(stmt.body, (PrimaryKeyBody, UniqueBody)):
+    if isinstance(stmt.body, CheckBody):
+        definition = ConstraintDef(stmt.name, stmt.table, "CHECK",
+                                   predicate=stmt.body.predicate)
+    else:
         kind = "PK" if isinstance(stmt.body, PrimaryKeyBody) else "UNIQUE"
-        if kind == "PK":
-            require_no_primary_key(db, stmt.table, (stmt.line, stmt.column))
-        for i, col in enumerate(stmt.body.columns):
-            if table.index_of(col) is None:
-                raise OraError(904, stmt.line, stmt.column)
-            if col in stmt.body.columns[:i]:
-                raise OraError(957, stmt.line, stmt.column)
         definition = ConstraintDef(stmt.name, stmt.table, kind,
                                    columns=stmt.body.columns)
-    else:
-        assert isinstance(stmt.body, CheckBody)
-        definition = check_constraint(stmt.name, table,
-                                      stmt.body.predicate)
-
-    violation = checks.validate_existing(db, stmt.table, definition,
-                                         table.rows)
+    violation = install_constraint(db, definition, (stmt.line, stmt.column))
     if violation is not None:
         raise violation_error(violation)
-    db.constraints.append(definition)
-    if definition.kind in ("PK", "UNIQUE"):
-        table.keys.append(definition)
     return "Table altered."
-
-
-def require_no_primary_key(db: Database, table: str, at: Position) -> None:
-    """2260 at `at` when the table already has a PRIMARY KEY."""
-    if any(c.kind == "PK" and c.table == table for c in db.constraints):
-        raise OraError(2260, *at)
 
 
 def _narrowing(old: SqlType, new: SqlType) -> bool:
@@ -339,17 +354,17 @@ def modify_column(db: Database, stmt: AlterModify) -> str:
     new_type = normalize_type(spec.keyword, spec.args, spec.line, spec.column)
     if _narrowing(col.type, new_type):
         raise OraError(1439, spec.line, spec.column)
-    # Every check runs before anything changes, so a failed MODIFY
-    # leaves the column exactly as it was.
-    not_null = None
+    # The NOT NULL constraint, added only once the rows pass, is the last
+    # thing that can fail, so a failed MODIFY leaves the column, the
+    # constraints and the SYS_C counter exactly as they were.
     if (stmt.nullability == "NOT NULL"
             and col.name not in checks.not_null_sources(db, stmt.table)):
-        # Named only once the rows pass, so that a failed MODIFY leaves
-        # the SYS_C counter as it was.
-        not_null = ConstraintDef("", stmt.table, "NOTNULL",
+        counter = db.sys_name_counter
+        not_null = ConstraintDef(next_sys_name(db), stmt.table, "NOTNULL",
                                  columns=(col.name,))
-        if checks.validate_existing(db, stmt.table, not_null,
-                                    table.rows) is not None:
+        if install_constraint(db, not_null,
+                              (stmt.line, stmt.column)) is not None:
+            db.sys_name_counter = counter
             raise OraError(2296)
 
     if isinstance(new_type, NumberType) and new_type.scale > col.type.scale:
@@ -359,10 +374,7 @@ def modify_column(db: Database, stmt: AlterModify) -> str:
         for row in table.rows:
             row[index] = coerce(row[index])
     table.columns[index] = ColumnSchema(col.name, new_type)
-    if not_null is not None:
-        not_null.name = next_sys_name(db)
-        db.constraints.append(not_null)
-    elif stmt.nullability == "NULL":
+    if stmt.nullability == "NULL":
         db.constraints = [c for c in db.constraints
                           if not (c.kind == "NOTNULL"
                                   and c.table == stmt.table

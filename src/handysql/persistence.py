@@ -38,15 +38,16 @@ loading, must match what the constraints imply.  Loading rebuilds one
 Database record, tables holding their rows, and re-validates every row
 against its column types and all constraints, so a snapshot edited into
 an inconsistent state is rejected rather than trusted.  Each table goes
-through catalog.define_table, as CREATE TABLE's do: a name in use, the
-built-ins' included (955), a repeated column name (957), a table or
-column name that CREATE TABLE could not have written, or a table
-without columns (904) is an error that names its line, as is a second
-PK line on one table (2260), and a PK or UNIQUE line that lists a
-column twice (957).  So are a constraint name DDL could not
-have written, a second NOTNULL line on one column (MODIFY adds none to
-a column that has one) and a COUNTER other than the digits saves
-writes, with no sign and no leading zero.
+through catalog.define_table, as CREATE TABLE's do, and each CONSTRAINT
+line through catalog.install_constraint, as ALTER TABLE ... ADD
+CONSTRAINT's do, so a state DDL refuses is an error that names its
+line and the ORA error DDL gives: a name in use (955, 2264), a repeated
+column or key column (957), a second PK (2260), a CHECK the table
+cannot hold (904, 934, 932, 1722), or a name DDL could not have
+written, an unknown key column or a table without columns (904).
+So are a NOTNULL line on a column already NOT NULL (MODIFY adds none to
+such a column) and a COUNTER other than the digits saves writes, with
+no sign and no leading zero.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ import re
 from itertools import repeat
 
 from .catalog import (
-    ColumnSchema, ConstraintDef, Database, Position, Table, check_constraint,
-    define_table, is_name, require_no_primary_key,
+    ColumnSchema, ConstraintDef, Database, Position, Table, define_table,
+    install_constraint,
 )
 from .constraints import not_null_sources, validate_existing
 from .errors import OraError
@@ -169,9 +170,6 @@ def loads(text: str) -> Database:
     # A TABLE line's name, line number and columns, defined at the
     # first line after it that is not a COL line.
     pending: tuple[str, int, list[tuple[ColumnSchema, Position]]] | None = None
-    # (position in the constraint list, name, table, body) of each CHECK,
-    # compiled once every column is known.
-    pending_checks: list[tuple[int, str, str, str]] = []
     flagged: dict[str, set[str]] = {}  # table -> columns marked NOTNULL
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -198,49 +196,7 @@ def loads(text: str) -> Database:
             if null == "NOTNULL":
                 flagged[pending[0]].add(cname)
         elif line.startswith("CONSTRAINT "):
-            parts = line.split(" ", 4)
-            if len(parts) != 5:
-                raise SnapshotError(f"line {lineno}: bad CONSTRAINT line")
-            _, cname, table, kind, detail = parts
-            if not is_name(cname):
-                raise SnapshotError(
-                    f"line {lineno}: bad constraint name {cname!r}")
-            if table not in db.tables:
-                raise SnapshotError(
-                    f"line {lineno}: constraint on unknown table {table}")
-            if kind == "PK":
-                try:
-                    require_no_primary_key(db, table, (lineno, 1))
-                except OraError as err:
-                    raise SnapshotError(
-                        f"line {lineno}: table {table}: {err}") from None
-            if kind in ("PK", "UNIQUE"):
-                columns = tuple(detail.split(","))
-                if len(set(columns)) != len(columns):
-                    raise SnapshotError(f"line {lineno}: table {table}: "
-                                        f"{OraError(957)}")
-                con = ConstraintDef(cname, table, kind, columns=columns)
-                db.tables[table].keys.append(con)
-            elif kind == "NOTNULL":
-                # MODIFY ... NOT NULL adds none to a column that has one.
-                if any(c.kind == "NOTNULL" and c.table == table
-                       and c.columns == (detail,) for c in db.constraints):
-                    raise SnapshotError(f"line {lineno}: second NOTNULL on "
-                                        f"column {detail} of {table}")
-                con = ConstraintDef(cname, table, kind, columns=(detail,))
-            elif kind == "CHECK":
-                con = ConstraintDef(cname, table, "CHECK")
-                try:
-                    body = _decode_check_body(detail)
-                except SnapshotError as err:
-                    raise SnapshotError(
-                        f"line {lineno}: bad check predicate {detail!r}: "
-                        f"{err}") from None
-                pending_checks.append((len(db.constraints), cname,
-                                       table, body))
-            else:
-                raise SnapshotError(f"line {lineno}: bad kind {kind}")
-            db.constraints.append(con)
+            _install(db, lineno, line)
         elif line.startswith("COUNTER "):
             # Only the digits saves writes: int() would also take a
             # sign, "_", spaces or digits outside ASCII.
@@ -262,15 +218,6 @@ def loads(text: str) -> Database:
         row_lines = list(filter(None, body.split("\n")))
         table.rows += _decode_rows(table, row_lines)
         lineno += section.count("\n") + 1
-
-    for idx, cname, table, body in pending_checks:
-        try:
-            db.constraints[idx] = check_constraint(
-                cname, db.tables[table],
-                parse_standalone_predicate(body))
-        except OraError as err:
-            raise SnapshotError(
-                f"bad check predicate {body!r}: {err}") from None
 
     _validate(db, flagged)
     return db
@@ -385,6 +332,43 @@ def _define(db: Database, name: str, lineno: int,
         raise SnapshotError(f"line {err.line}: table {name}: {err}") from None
 
 
+def _install(db: Database, lineno: int, line: str) -> None:
+    """A CONSTRAINT line's constraint, added as ALTER TABLE adds one.
+
+    Rows come last, so its table holds none yet to violate it; they are
+    validated once all are read.  MODIFY adds no NOTNULL to a column
+    that is NOT NULL already, so no NOTNULL line may either.
+    """
+    parts = line.split(" ", 4)
+    if len(parts) != 5:
+        raise SnapshotError(f"line {lineno}: bad CONSTRAINT line")
+    _, name, table, kind, detail = parts
+    if table not in db.tables:
+        raise SnapshotError(
+            f"line {lineno}: constraint on unknown table {table}")
+    columns, predicate = (detail,), None
+    if kind in ("PK", "UNIQUE"):
+        columns = tuple(detail.split(","))
+    elif kind == "CHECK":
+        columns = ()
+        try:
+            predicate = parse_standalone_predicate(_decode_check_body(detail))
+        except (SnapshotError, OraError) as err:
+            raise SnapshotError(f"line {lineno}: bad check predicate "
+                                f"{detail!r}: {err}") from None
+    elif kind != "NOTNULL":
+        raise SnapshotError(f"line {lineno}: bad kind {kind}")
+    elif detail in not_null_sources(db, table):
+        raise SnapshotError(f"line {lineno}: table {table}: column {detail} "
+                            "is NOT NULL already")
+    try:
+        install_constraint(db, ConstraintDef(name, table, kind, columns,
+                                             predicate), (lineno, 1))
+    except OraError as err:
+        raise SnapshotError(
+            f"line {lineno}: table {table}: {err}") from None
+
+
 def load(path: str) -> Database:
     try:
         with open(path) as fh:
@@ -395,17 +379,9 @@ def load(path: str) -> Database:
 
 
 def _validate(db: Database, flagged: dict[str, set[str]]) -> None:
-    seen: set[str] = set()
     for con in db.constraints:
-        if con.name in seen:
-            raise SnapshotError(f"duplicate constraint name {con.name}")
-        seen.add(con.name)
-        table = db.tables[con.table]
-        for cname in con.columns:
-            if table.index_of(cname) is None:
-                raise SnapshotError(
-                    f"constraint {con.name} names unknown column {cname}")
-        violation = validate_existing(db, con.table, con, table.rows)
+        violation = validate_existing(db, con.table, con,
+                                      db.tables[con.table].rows)
         if violation is not None:
             raise SnapshotError(
                 f"rows violate constraint {con.name} ({violation.reason})")

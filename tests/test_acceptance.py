@@ -4,15 +4,18 @@ Criteria 1-5 replay the golden console transcripts.  Criteria 6-10 are
 randomized properties judged against the independent oracles in
 reference.py, driven by fixed seeds so runs are repeatable.  Beside
 criterion 6, a hypothesis test holds SELECTs that pin a key to the same
-brute-force oracle.
+brute-force oracle, and beside criterion 10 one holds snapshots with a
+CONSTRAINT line DDL could not have written to the error DDL gives.
 """
 
 import datetime
 import random
 from collections import Counter
+from copy import deepcopy
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
@@ -28,7 +31,8 @@ from handysql.executor import Database, eval_aggregate, execute
 from handysql.nodes import BoolOp, ColumnRef, Comparison, IsNull, Literal, Not
 from handysql.parser import parse_text
 from handysql.persistence import SnapshotError, loads, saves
-from handysql.values import DateType, NumberType, Varchar2Type
+from handysql.render import render_predicate
+from handysql.values import DateType, NumberType, Varchar2Type, type_display
 
 _TYPES = {"number": NumberType(10, 4), "text": Varchar2Type(30),
           "date": DateType()}
@@ -694,46 +698,59 @@ def test_criterion_09_round_trip_and_logic_table():
                     == truth("NOT A = 1 AND NOT B = 1", *row))
 
 
+def _random_database(rng):
+    """One to two tables with rows and up to three constraints, by DDL.
+
+    Returns the database, each table's columns, and for each constraint
+    in db.constraints a copy of the database just before DDL added it.
+    """
+    used = set()
+    db = Database()
+    tables = {}
+    for _ in range(rng.randint(1, 2)):
+        name = ref.gen_name(rng, used)
+        columns = ref.gen_columns(rng, used, 1, 4)
+        decl = ", ".join(f"{c} {ref.sql_type(k)}"
+                         for c, k in columns.items())
+        execute(db, parse_text(f"CREATE TABLE {name}({decl})"))
+        for row in ref.gen_rows(rng, columns, n_max=4):
+            vals = ", ".join(ref.sql_literal(row[c]) for c in columns)
+            execute(db, parse_text(f"INSERT INTO {name} VALUES({vals})"))
+        tables[name] = columns
+    before = []
+    for _ in range(rng.randint(0, 3)):
+        name = rng.choice(list(tables))
+        columns = tables[name]
+        names = list(columns)
+        cname = ref.gen_name(rng, used)
+        choice = rng.randrange(4)
+        if choice == 0:
+            text = (f"ALTER TABLE {name} ADD CONSTRAINT {cname} "
+                    f"PRIMARY KEY ({rng.choice(names)})")
+        elif choice == 1:
+            text = (f"ALTER TABLE {name} ADD CONSTRAINT {cname} "
+                    f"UNIQUE ({rng.choice(names)})")
+        elif choice == 2:
+            pred = ref.pred_text(ref.gen_predicate(rng, columns))
+            text = (f"ALTER TABLE {name} ADD CONSTRAINT {cname} "
+                    f"CHECK ({pred})")
+        else:
+            col = rng.choice(names)
+            text = (f"ALTER TABLE {name} MODIFY {col} "
+                    f"{ref.sql_type(columns[col])} NOT NULL")
+        state = deepcopy(db)
+        try:
+            execute(db, parse_text(text))
+        except OraError:
+            pass  # rows may legitimately reject the constraint
+        before += [state] * (len(db.constraints) - len(state.constraints))
+    return db, tables, before
+
+
 def test_criterion_10_snapshot_round_trip():
     rng = random.Random(1310)
     for _ in range(100):
-        used = set()
-        db = Database()
-        tables = {}
-        for _ in range(rng.randint(1, 2)):
-            name = ref.gen_name(rng, used)
-            columns = ref.gen_columns(rng, used, 1, 4)
-            decl = ", ".join(f"{c} {ref.sql_type(k)}"
-                             for c, k in columns.items())
-            execute(db, parse_text(f"CREATE TABLE {name}({decl})"))
-            for row in ref.gen_rows(rng, columns, n_max=4):
-                vals = ", ".join(ref.sql_literal(row[c]) for c in columns)
-                execute(db, parse_text(f"INSERT INTO {name} VALUES({vals})"))
-            tables[name] = columns
-        for _ in range(rng.randint(0, 3)):
-            name = rng.choice(list(tables))
-            columns = tables[name]
-            names = list(columns)
-            cname = ref.gen_name(rng, used)
-            choice = rng.randrange(4)
-            if choice == 0:
-                text = (f"ALTER TABLE {name} ADD CONSTRAINT {cname} "
-                        f"PRIMARY KEY ({rng.choice(names)})")
-            elif choice == 1:
-                text = (f"ALTER TABLE {name} ADD CONSTRAINT {cname} "
-                        f"UNIQUE ({rng.choice(names)})")
-            elif choice == 2:
-                pred = ref.pred_text(ref.gen_predicate(rng, columns))
-                text = (f"ALTER TABLE {name} ADD CONSTRAINT {cname} "
-                        f"CHECK ({pred})")
-            else:
-                col = rng.choice(names)
-                text = (f"ALTER TABLE {name} MODIFY {col} "
-                        f"{ref.sql_type(columns[col])} NOT NULL")
-            try:
-                execute(db, parse_text(text))
-            except OraError:
-                pass  # rows may legitimately reject the constraint
+        db, tables, _ = _random_database(rng)
         first = saves(db)
         copy = loads(first)
         assert saves(copy) == first
@@ -761,3 +778,98 @@ def test_criterion_10_snapshot_round_trip():
         except SnapshotError:
             continue
         raise AssertionError("tampered snapshot accepted")
+
+
+# Longer than any name ref.gen_name makes, so never in use.
+_FRESH = "MUTANT_KEY"
+_MUTATIONS = ["second-pk", "renamed", "unknown-column", "repeated-column",
+              "notnull-on-pk"]
+
+
+def _body(con, columns=None):
+    """The ADD CONSTRAINT clause of a PK, UNIQUE or CHECK constraint."""
+    if con.kind == "CHECK":
+        return f"CHECK ({render_predicate(con.predicate)})"
+    keyword = "PRIMARY KEY" if con.kind == "PK" else "UNIQUE"
+    return f"{keyword} ({', '.join(columns or con.columns)})"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(_MUTATIONS), st.data())
+def test_mutated_snapshots_refused_as_ddl_refuses(seed, mutation, data):
+    """A snapshot line DDL could not have written fails with DDL's error.
+
+    The database of criterion 10 is saved and one CONSTRAINT line is
+    changed or added.  loads must refuse it at that line with the ORA
+    error that the matching ALTER TABLE ... ADD CONSTRAINT gives on the
+    database as it stood when DDL would have reached that line.  A
+    NOTNULL line on a PK column has no such error: MODIFY ... NOT NULL
+    adds no constraint there, and loads refuses the line.
+    """
+    rng = random.Random(seed)
+    candidates = []
+    while not candidates:  # the next database with a line to mutate
+        db, _, before = _random_database(rng)
+        keys = [i for i, c in enumerate(db.constraints)
+                if c.kind in ("PK", "UNIQUE")]
+        if mutation in ("second-pk", "notnull-on-pk"):
+            candidates = [i for i in keys if db.constraints[i].kind == "PK"]
+        elif mutation == "renamed":
+            candidates = [i for i, c in enumerate(db.constraints)
+                          if i > 0 and c.kind != "NOTNULL"]
+        else:
+            candidates = keys
+    text = saves(db)
+    copy = loads(text)
+    assert saves(copy) == text
+    for name, table in copy.tables.items():
+        assert table.keys == [c for c in copy.constraints if c.table == name
+                              and c.kind in ("PK", "UNIQUE")]
+
+    lines = text.split("\n")
+    # The index of the first CONSTRAINT line: they come just before COUNTER.
+    first = next(i for i, line in enumerate(lines)
+                 if line.startswith("COUNTER ")) - len(db.constraints)
+    i = data.draw(st.sampled_from(candidates))
+    con = db.constraints[i]
+    state = before[i]  # the database just before con was added
+    at = first + i  # con's line, as an index into lines
+    if mutation == "second-pk":
+        at = first + len(db.constraints)
+        lines.insert(at, f"CONSTRAINT {_FRESH} {con.table} PK "
+                     f"{','.join(con.columns)}")
+        state, ddl = db, f"ADD CONSTRAINT {_FRESH} {_body(con)}"
+    elif mutation == "renamed":
+        other = db.constraints[data.draw(st.integers(0, i - 1))].name
+        lines[at] = f"CONSTRAINT {other} {lines[at].split(' ', 2)[2]}"
+        ddl = f"ADD CONSTRAINT {other} {_body(con)}"
+    elif mutation == "notnull-on-pk":
+        column = data.draw(st.sampled_from(con.columns))
+        at = first + len(db.constraints)
+        lines.insert(at, f"CONSTRAINT {_FRESH} {con.table} NOTNULL {column}")
+        col = db.tables[con.table].columns[
+            db.tables[con.table].index_of(column)]
+        execute(copy, parse_text(f"ALTER TABLE {con.table} MODIFY {column} "
+                                 f"{type_display(col.type)} NOT NULL"))
+        assert copy.constraints == db.constraints
+        with pytest.raises(SnapshotError) as info:
+            loads("\n".join(lines))
+        assert str(info.value) == (f"line {at + 1}: table {con.table}: "
+                                   f"column {column} is NOT NULL already")
+        return
+    else:
+        columns = list(con.columns)
+        if mutation == "unknown-column":
+            columns[data.draw(st.integers(0, len(columns) - 1))] = (
+                "NO_SUCH_COLUMN")
+        else:
+            columns.append(data.draw(st.sampled_from(columns)))
+        lines[at] = (f"CONSTRAINT {con.name} {con.table} {con.kind} "
+                     f"{','.join(columns)}")
+        ddl = f"ADD CONSTRAINT {_FRESH} {_body(con, columns)}"
+    with pytest.raises(OraError) as refused:
+        execute(state, parse_text(f"ALTER TABLE {con.table} {ddl}"))
+    with pytest.raises(SnapshotError) as info:
+        loads("\n".join(lines))
+    assert str(info.value) == (f"line {at + 1}: table {con.table}: "
+                               f"{refused.value}")

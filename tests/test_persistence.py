@@ -210,12 +210,17 @@ def test_builtin_table_name_rejected_as_create_table_does(name):
     pytest.param("TABLE T\nCOL A NUMBER NULL\nCOUNTER \u0663\n",
                  "line 4: bad counter", id="arabic-indic-counter"),
     pytest.param("TABLE T\nCOL A NUMBER NULL\nCONSTRAINT lower T UNIQUE A\n",
-                 "line 4: bad constraint name 'lower'",
+                 "line 4: table T: ORA-00904: invalid identifier",
                  id="lower-case-constraint-name"),
     pytest.param("TABLE T\nCOL A NUMBER NOTNULL\nCONSTRAINT N1 T NOTNULL A\n"
                  "CONSTRAINT N2 T NOTNULL A\n",
-                 "line 5: second NOTNULL on column A of T",
+                 "line 5: table T: column A is NOT NULL already",
                  id="second-notnull"),
+    # MODIFY ... NOT NULL adds nothing to a column a PK covers.
+    pytest.param("TABLE T\nCOL A NUMBER NOTNULL\nCONSTRAINT P T PK A\n"
+                 "CONSTRAINT SYS_C005545 T NOTNULL A\n",
+                 "line 5: table T: column A is NOT NULL already",
+                 id="notnull-on-a-primary-key-column"),
     # ALTER TABLE ... ADD CONSTRAINT refuses a key that repeats a column.
     pytest.param("TABLE T\nCOL A NUMBER NOTNULL\nCOL B NUMBER NULL\n"
                  "CONSTRAINT P T PK A,A\n",
@@ -252,18 +257,20 @@ def test_constraint_for_unknown_table_rejected():
 
 def test_constraint_on_unknown_column_rejected():
     reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NULL\n"
-           "CONSTRAINT P T PK NOPE\n", "NOPE")
+           "CONSTRAINT P T PK NOPE\n",
+           "line 4: table T: ORA-00904: invalid identifier")
     # A NOTNULL line names one column, commas included.
     reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NOTNULL\n"
            "COL B NUMBER(5) NOTNULL\nCONSTRAINT N T NOTNULL A,B\n",
-           "unknown column A,B")
+           "line 5: table T: ORA-00904: invalid identifier")
 
 
 def test_duplicate_constraint_names_rejected():
     base = ("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NOTNULL\n"
             "COL B NUMBER(5) NULL\n"
             "CONSTRAINT P T PK A\nCONSTRAINT P T UNIQUE B\n")
-    reject(base, "P")
+    reject(base, "line 6: table T: ORA-02264: name already used by an "
+           "existing constraint")
 
 
 def test_rows_for_unknown_table_rejected():
@@ -355,7 +362,8 @@ def test_check_backslashes_of_older_files_keep_their_meaning():
 ])
 def test_check_the_table_cannot_hold_rejected(body, code):
     reject("HANDYDB 1\nTABLE T\nCOL A NUMBER(5) NULL\nCOL D DATE NULL\n"
-           f"CONSTRAINT C T CHECK {body}\nROWS T\n1\t1990-01-02\n", code)
+           f"CONSTRAINT C T CHECK {body}\nROWS T\n1\t1990-01-02\n",
+           f"line 5: table T: {code}: ")
 
 
 @pytest.mark.parametrize("body", [
