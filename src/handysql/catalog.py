@@ -8,6 +8,14 @@ list is the only record of nullability: a column is NOT NULL when a
 NOTNULL or PK constraint lists it.  BUILTINS declares the read-only
 relations DUAL and USER_CONSTRAINTS, each as a table, whose own row
 list stays empty, and a function from the database to its rows.
+
+Each PRIMARY KEY and UNIQUE constraint holds an index of its table's
+stored keys, as Oracle enforces these constraints with a unique index.
+index_key builds it when install_constraint adds the key and when a
+snapshot's rows are loaded; store_row adds each inserted row's key once
+the row has passed every constraint.  The subset has no UPDATE or
+DELETE, and MODIFY only widens a value to an equal one, which hashes
+equal, so the index only grows.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import re
 import unicodedata
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import constraints as checks
 from .errors import OraError, violation_error
@@ -57,7 +66,8 @@ class Table:
     # The table's PRIMARY KEY and UNIQUE constraints, in creation order:
     # the same ConstraintDefs as in Database.constraints, appended with
     # them in one place, install_constraint.  Keys are never dropped or
-    # changed, so the two stay in step.
+    # changed, so the two stay in step.  Each holds its index of these
+    # rows.
     keys: list[ConstraintDef] = field(default_factory=list)
 
     def column_names(self) -> list[str]:
@@ -81,6 +91,14 @@ class ConstraintDef:
     # A CHECK's predicate compiled over the table's column positions;
     # made by check_constraint.
     test: Test | None = field(default=None, compare=False, repr=False)
+    # A PK or UNIQUE key's getter of a row's key, which is the value of
+    # a one-column key and the tuple of a wider one's values, and the
+    # ordinal of the row holding each stored key without a NULL; made by
+    # index_key and extended by store_row.
+    key_of: Callable[[list[SqlValue]], object] | None = field(
+        default=None, compare=False, repr=False)
+    index: dict[object, int] | None = field(
+        default=None, compare=False, repr=False)
 
 
 def check_constraint(name: str, table: Table,
@@ -255,6 +273,35 @@ def _stored_table(db: Database, stmt) -> Table:
     return table
 
 
+def index_key(table: Table, key: ConstraintDef) -> None:
+    """Build a PK or UNIQUE key's index over its table's rows.
+
+    The rows have passed the key, so no key without a NULL repeats and
+    one dict of every row's key is exact once the keys holding a NULL
+    are taken out.  Columns never move, so the getter stays valid.
+    """
+    key.key_of = itemgetter(*map(table.index_of, key.columns))
+    key.index = dict(zip(map(key.key_of, table.rows), range(len(table.rows))))
+    if len(key.columns) == 1:
+        key.index.pop(None, None)
+    else:
+        for held in [k for k in key.index if None in k]:
+            del key.index[held]
+
+
+def store_row(table: Table, row: list[SqlValue]) -> None:
+    """Append a row that has passed every constraint, and index its keys.
+
+    A key holding a NULL is left out of its index.
+    """
+    ordinal = len(table.rows)
+    table.rows.append(row)
+    for key in table.keys:
+        held = key.key_of(row)
+        if held is not None and (len(key.columns) == 1 or None not in held):
+            key.index[held] = ordinal
+
+
 def install_constraint(db: Database, definition: ConstraintDef,
                        at: Position) -> checks.Violation | None:
     """Add a constraint to its table: ALTER TABLE, MODIFY and snapshots.
@@ -265,7 +312,7 @@ def install_constraint(db: Database, definition: ConstraintDef,
     CHECK's predicate is compiled (check_constraint).  Last the table's
     rows are validated: their first violation is returned and nothing is
     added.  Otherwise the constraint joins db.constraints and, a key,
-    its table's keys; nothing else appends to either.
+    its table's keys, with its index; nothing else appends to either.
     """
     if not is_name(definition.name):
         raise OraError(904, *at)
@@ -289,6 +336,7 @@ def install_constraint(db: Database, definition: ConstraintDef,
     if violation is None:
         db.constraints.append(definition)
         if definition.kind in ("PK", "UNIQUE"):
+            index_key(table, definition)
             table.keys.append(definition)
     return violation
 

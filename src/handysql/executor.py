@@ -1,8 +1,8 @@
 """Statement execution over the database's in-memory tables.
 
 The Database record and its DDL live in catalog, and execute hands DDL
-statements to it.  An insert appends to its table's rows only after
-every constraint has passed.
+statements to it.  An insert is stored only after every constraint has
+passed, by catalog.store_row, which also indexes its keys.
 
 A select is planned once and then run as a stream of rows.  Planning
 binds every column reference to a slot of the combined row.  A join
@@ -16,8 +16,8 @@ whole and filter the whole product, ON first, so errors come as from a
 plain nested loop.  A single stored table whose WHERE cannot raise, and
 whose top-level AND conjuncts set every column of one PRIMARY KEY or
 UNIQUE key equal to a non-NULL literal, finds the one row that can pass
-with a single C-level search of the keys, and WHERE runs on that row
-alone; the rows, their order and the errors stay those of the scan.
+with one probe of that key's index, and WHERE runs on that row alone;
+the rows, their order and the errors stay those of the scan.
 Running pulls rows through generators, left to right over the FROM
 list, and keeps nested-loop order: rows follow the first table's
 insertion order, then the second table's within each, and so on.  A
@@ -40,7 +40,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from operator import indexOf, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import catalog as cat_mod
@@ -132,7 +132,7 @@ def execute_insert(db: Database, stmt: Insert) -> Feedback:
     violation = check_row(db, stmt.table, row, table.rows)
     if violation is not None:
         raise violation_error(violation)
-    table.rows.append(row)
+    cat_mod.store_row(table, row)
     return Feedback("1 row created.")
 
 
@@ -317,10 +317,11 @@ def _probed(source: _Source, where: Predicate) -> list[Row]:
     When the top-level AND conjuncts of the form column = non-NULL
     literal, either way round, pin every column of one PRIMARY KEY or
     UNIQUE key of a stored table, only the row holding that key can
-    pass, and one C-level search finds it: stored keys are unique, and
-    == is the comparison's =.  Otherwise every row may pass.  A column
-    pinned twice is searched by its first literal; WHERE still runs on
-    the row found.
+    pass, and one probe of the key's index finds it: stored keys are
+    unique, and the index matches by == and hash, which agree with the
+    comparison's =.  Otherwise every row may pass.  A column pinned
+    twice is looked up by its first literal; WHERE still runs on the row
+    found.
     """
     table = source.table
     if not table.keys:
@@ -347,12 +348,8 @@ def _probed(source: _Source, where: Predicate) -> list[Row]:
     else:
         return source.rows
     # A one-column key is its value, a wider one the tuple of its values.
-    wanted = itemgetter(*key.columns)(pinned)
-    at = map(itemgetter(*map(table.index_of, key.columns)), table.rows)
-    try:
-        return [table.rows[indexOf(at, wanted)]]
-    except ValueError:
-        return []
+    ordinal = key.index.get(itemgetter(*key.columns)(pinned))
+    return [] if ordinal is None else [table.rows[ordinal]]
 
 
 def _pushed_down(scope: _Scope, conjs: list[_Conjunct]) -> Iterable[Row]:

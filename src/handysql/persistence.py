@@ -37,7 +37,8 @@ COL line is derived from the constraint list when saving and, on
 loading, must match what the constraints imply.  Loading rebuilds one
 Database record, tables holding their rows, and re-validates every row
 against its column types and all constraints, so a snapshot edited into
-an inconsistent state is rejected rather than trusted.  Each table goes
+an inconsistent state is rejected rather than trusted; each key's index
+is then built over the rows that passed it.  Each table goes
 through catalog.define_table, as CREATE TABLE's do, and each CONSTRAINT
 line through catalog.install_constraint, as ALTER TABLE ... ADD
 CONSTRAINT's do, so a state DDL refuses is an error that names its
@@ -59,7 +60,7 @@ from itertools import repeat
 
 from .catalog import (
     ColumnSchema, ConstraintDef, Database, Position, Table, define_table,
-    install_constraint,
+    index_key, install_constraint,
 )
 from .constraints import not_null_sources, validate_existing
 from .errors import OraError
@@ -336,8 +337,9 @@ def _install(db: Database, lineno: int, line: str) -> None:
     """A CONSTRAINT line's constraint, added as ALTER TABLE adds one.
 
     Rows come last, so its table holds none yet to violate it; they are
-    validated once all are read.  MODIFY adds no NOTNULL to a column
-    that is NOT NULL already, so no NOTNULL line may either.
+    validated, and the keys indexed, once all are read.  MODIFY adds no
+    NOTNULL to a column that is NOT NULL already, so no NOTNULL line may
+    either.
     """
     parts = line.split(" ", 4)
     if len(parts) != 5:
@@ -385,6 +387,8 @@ def _validate(db: Database, flagged: dict[str, set[str]]) -> None:
         if violation is not None:
             raise SnapshotError(
                 f"rows violate constraint {con.name} ({violation.reason})")
+        if con.kind in ("PK", "UNIQUE"):
+            index_key(db.tables[con.table], con)
     # The COL lines' NOT NULL flags must say what the constraints imply.
     for name, marked in flagged.items():
         enforced = set(not_null_sources(db, name))

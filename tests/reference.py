@@ -313,6 +313,24 @@ def row_violation(constraints, columns, existing: list[dict],
     return None
 
 
+def key_index(rows: list[dict], columns) -> dict:
+    """A key's index by brute force: the first ordinal of each key.
+
+    Keys holding a NULL are left out.  A one-column key is its value
+    and a wider one the tuple of its values.
+    """
+    pairs: list[tuple] = []
+    for ordinal, row in enumerate(rows):
+        key = tuple(row[c] for c in columns)
+        if any(v is None for v in key):
+            continue
+        if len(key) == 1:
+            key = key[0]
+        if all(other != key for other, _ in pairs):
+            pairs.append((key, ordinal))
+    return dict(pairs)
+
+
 # --- tree-walking predicate oracle -----------------------------------
 
 def interpret_expr(expr, resolve):

@@ -783,7 +783,7 @@ def test_criterion_10_snapshot_round_trip():
 # Longer than any name ref.gen_name makes, so never in use.
 _FRESH = "MUTANT_KEY"
 _MUTATIONS = ["second-pk", "renamed", "unknown-column", "repeated-column",
-              "notnull-on-pk"]
+              "notnull-on-pk", "repeated-col-line", "renamed-table"]
 
 
 def _body(con, columns=None):
@@ -792,6 +792,46 @@ def _body(con, columns=None):
         return f"CHECK ({render_predicate(con.predicate)})"
     keyword = "PRIMARY KEY" if con.kind == "PK" else "UNIQUE"
     return f"{keyword} ({', '.join(columns or con.columns)})"
+
+
+def _create(name, columns):
+    decls = ", ".join(f"{c.name} {type_display(c.type)}" for c in columns)
+    return f"CREATE TABLE {name}({decls})"
+
+
+def _refused_as_create_refuses(db, lines, mutation, data, t):
+    """Mutate the TABLE section of db's t-th table and check the error.
+
+    A repeated COL line goes after the line it repeats and fails with
+    957, a TABLE line renamed to DUAL, USER_CONSTRAINTS or an earlier
+    table's name with 955.
+    """
+    tables = list(db.tables.values())
+    table = tables[t]
+    header = lines.index(f"TABLE {table.name}")
+    columns = list(table.columns)
+    name = table.name
+    if mutation == "repeated-col-line":
+        j = data.draw(st.integers(0, len(columns) - 1))
+        at = header + 1 + data.draw(st.integers(j + 1, len(columns)))
+        lines.insert(at, lines[header + 1 + j])
+        columns.insert(at - header - 1, columns[j])
+    else:
+        name = data.draw(st.sampled_from(
+            ["DUAL", "USER_CONSTRAINTS"] + [e.name for e in tables[:t]]))
+        at = header
+        lines[at] = f"TABLE {name}"
+    state = Database()
+    for earlier in tables[:t]:
+        execute(state, parse_text(_create(earlier.name, earlier.columns)))
+    with pytest.raises(OraError) as refused:
+        execute(state, parse_text(_create(name, columns)))
+    assert refused.value.code == (957 if mutation == "repeated-col-line"
+                                  else 955)
+    with pytest.raises(SnapshotError) as info:
+        loads("\n".join(lines))
+    assert str(info.value) == (f"line {at + 1}: table {name}: "
+                               f"{refused.value}")
 
 
 @settings(max_examples=300, deadline=None)
@@ -804,7 +844,10 @@ def test_mutated_snapshots_refused_as_ddl_refuses(seed, mutation, data):
     error that the matching ALTER TABLE ... ADD CONSTRAINT gives on the
     database as it stood when DDL would have reached that line.  A
     NOTNULL line on a PK column has no such error: MODIFY ... NOT NULL
-    adds no constraint there, and loads refuses the line.
+    adds no constraint there, and loads refuses the line.  Or a COL
+    line is repeated, or a TABLE line renamed to a built-in or to an
+    earlier table, and loads must refuse it with the error CREATE TABLE
+    gives there, after the CREATE TABLEs of the tables before it.
     """
     rng = random.Random(seed)
     candidates = []
@@ -812,7 +855,9 @@ def test_mutated_snapshots_refused_as_ddl_refuses(seed, mutation, data):
         db, _, before = _random_database(rng)
         keys = [i for i, c in enumerate(db.constraints)
                 if c.kind in ("PK", "UNIQUE")]
-        if mutation in ("second-pk", "notnull-on-pk"):
+        if mutation in ("repeated-col-line", "renamed-table"):
+            candidates = list(range(len(db.tables)))
+        elif mutation in ("second-pk", "notnull-on-pk"):
             candidates = [i for i in keys if db.constraints[i].kind == "PK"]
         elif mutation == "renamed":
             candidates = [i for i, c in enumerate(db.constraints)
@@ -827,6 +872,10 @@ def test_mutated_snapshots_refused_as_ddl_refuses(seed, mutation, data):
                               and c.kind in ("PK", "UNIQUE")]
 
     lines = text.split("\n")
+    if mutation in ("repeated-col-line", "renamed-table"):
+        _refused_as_create_refuses(db, lines, mutation, data,
+                                   data.draw(st.sampled_from(candidates)))
+        return
     # The index of the first CONSTRAINT line: they come just before COUNTER.
     first = next(i for i, line in enumerate(lines)
                  if line.startswith("COUNTER ")) - len(db.constraints)
