@@ -11,11 +11,12 @@ list stays empty, and a function from the database to its rows.
 
 Each PRIMARY KEY and UNIQUE constraint holds an index of its table's
 stored keys, as Oracle enforces these constraints with a unique index.
-index_key builds it when install_constraint adds the key and when a
-snapshot's rows are loaded; store_row adds each inserted row's key once
-the row has passed every constraint.  The subset has no UPDATE or
-DELETE, and MODIFY only widens a value to an equal one, which hashes
-equal, so the index only grows.
+constraints.validate_existing builds it in the pass that checks the key,
+when install_constraint adds the key and when a snapshot's rows are
+loaded; store_row adds each inserted row's key once the row has passed
+every constraint.  The subset has no UPDATE or DELETE, and MODIFY only
+widens a value to an equal one, which hashes equal, so the index only
+grows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import re
 import unicodedata
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from . import constraints as checks
 from .errors import OraError, violation_error
@@ -94,7 +94,7 @@ class ConstraintDef:
     # A PK or UNIQUE key's getter of a row's key, which is the value of
     # a one-column key and the tuple of a wider one's values, and the
     # ordinal of the row holding each stored key without a NULL; made by
-    # index_key and extended by store_row.
+    # constraints.validate_existing and extended by store_row.
     key_of: Callable[[list[SqlValue]], object] | None = field(
         default=None, compare=False, repr=False)
     index: dict[object, int] | None = field(
@@ -273,22 +273,6 @@ def _stored_table(db: Database, stmt) -> Table:
     return table
 
 
-def index_key(table: Table, key: ConstraintDef) -> None:
-    """Build a PK or UNIQUE key's index over its table's rows.
-
-    The rows have passed the key, so no key without a NULL repeats and
-    one dict of every row's key is exact once the keys holding a NULL
-    are taken out.  Columns never move, so the getter stays valid.
-    """
-    key.key_of = itemgetter(*map(table.index_of, key.columns))
-    key.index = dict(zip(map(key.key_of, table.rows), range(len(table.rows))))
-    if len(key.columns) == 1:
-        key.index.pop(None, None)
-    else:
-        for held in [k for k in key.index if None in k]:
-            del key.index[held]
-
-
 def store_row(table: Table, row: list[SqlValue]) -> None:
     """Append a row that has passed every constraint, and index its keys.
 
@@ -336,7 +320,6 @@ def install_constraint(db: Database, definition: ConstraintDef,
     if violation is None:
         db.constraints.append(definition)
         if definition.kind in ("PK", "UNIQUE"):
-            index_key(table, definition)
             table.keys.append(definition)
     return violation
 

@@ -90,8 +90,11 @@ def validate_existing(db: Database, table: str, candidate: ConstraintDef,
                       rows: list[list[SqlValue]]) -> Violation | None:
     """First violation of a prospective constraint over stored rows.
 
-    A key's rows pass when their keys without a NULL are as many as the
-    set of those keys; only a known violation is looked for row by row.
+    A key is checked by building its index, a dict from each key to its
+    row's ordinal: the keys without a NULL repeat none when the dict
+    holds as many of them as there are.  A key that passes keeps its
+    getter and index, which store_row then extends.  Only a known
+    violation is looked for row by row.
     """
     if candidate.kind == "CHECK":
         test = candidate.test
@@ -102,18 +105,28 @@ def validate_existing(db: Database, table: str, candidate: ConstraintDef,
     schema = db.tables[table]
     positions = [schema.index_of(name) for name in candidate.columns]
     # A one-column key is its value, a wider one the tuple of its values.
-    keys = list(map(itemgetter(*positions), rows))
+    key_of = itemgetter(*positions)
+    keys = list(map(key_of, rows))
+    index = dict(zip(keys, range(len(keys))))
     if len(positions) == 1:
-        present = [key for key in keys if key is not None]
+        held = {None} if None in index else set()
     else:
-        present = [key for key in keys if not _has_null(key)]
-    if len(present) < len(keys) and candidate.kind != "UNIQUE":
-        for ordinal, row in enumerate(rows):
-            for i in positions:
-                if row[i] is None:
-                    return Violation(candidate, NULL_COLUMN, ordinal)
+        held = {key for key in index if None in key}
+    present = len(keys)
+    if held:
+        if candidate.kind != "UNIQUE":
+            for ordinal, row in enumerate(rows):
+                for i in positions:
+                    if row[i] is None:
+                        return Violation(candidate, NULL_COLUMN, ordinal)
+        for key in held:
+            del index[key]
+        present -= sum(map(held.__contains__, keys))
+    if candidate.kind == "NOTNULL":
+        return None
     # Equal keys hash equal, Decimal('1.0') and Decimal('1') included.
-    if candidate.kind == "NOTNULL" or len(set(present)) == len(present):
+    if len(index) == present:
+        candidate.key_of, candidate.index = key_of, index
         return None
     seen: set[tuple[SqlValue, ...]] = set()
     for ordinal, row in enumerate(rows):

@@ -16,12 +16,19 @@ the right side can raise: then both sides run, left first, so its
 error surfaces as in a full evaluation.  Aggregate calls are illegal
 inside predicates: one raises 934 at its own position when it is
 evaluated, not when it is compiled.
+
+compile_filter turns a predicate into a filter pass: a function from
+rows to the list of those where it is TRUE, in their order.  A column
+compared with a non-NULL literal or with another column of its kind,
+and a column IS [NOT] NULL, scan in one comprehension that makes no
+Python call per row; any other predicate calls its compiled test on
+each row.
 """
 
 from __future__ import annotations
 
 import datetime
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from decimal import Decimal
 from operator import itemgetter
 from typing import TypeVar
@@ -38,6 +45,7 @@ from .values import (
 
 Row = Sequence[SqlValue]
 Test = Callable[[Row], Tristate]
+RowsWhere = Callable[[Iterable[Row]], list[Row]]
 N = TypeVar("N")
 
 # Looking up an Enum member costs about 0.2 us on Python 3.11, and the
@@ -49,9 +57,38 @@ _VALUE_KINDS = {NumberType: Decimal, Varchar2Type: str,
                 DateType: datetime.date}
 
 
-def eval_predicate(test: Test, row: Row) -> Tristate:
-    """One evaluation of a compiled predicate on one row."""
-    return test(row)
+def eval_predicate(rows_where: RowsWhere, rows: Iterable[Row]) -> list[Row]:
+    """One filter pass: the rows where a predicate is TRUE, in order."""
+    return rows_where(rows)
+
+
+def compile_filter(pred: Predicate, slot_of: Mapping[ColumnRef, int],
+                   type_of: Callable[[ColumnRef], SqlType],
+                   ) -> tuple[RowsWhere, bool]:
+    """A filter pass for pred, and whether it can raise.
+
+    slot_of and type_of are as for compile_predicate.  A pass that can
+    raise reads its rows in order, so the first row that raises does.
+    """
+    if isinstance(pred, IsNull) and isinstance(pred.operand, ColumnRef):
+        i = slot_of[pred.operand]
+        if pred.negated:
+            return (lambda rows: [r for r in rows if r[i] is not None]), False
+        return (lambda rows: [r for r in rows if r[i] is None]), False
+    typed = (_slot_comparison(pred, slot_of, type_of)
+             if isinstance(pred, Comparison) else None)
+    if typed is None:
+        test, raises = compile_predicate(pred, slot_of, type_of)
+        return (lambda rows: [r for r in rows if test(r) is TRUE]), raises
+    op, i, j, value = typed
+    if j is None:
+        return (lambda rows: [r for r in rows
+                              if (a := r[i]) is not None and op(a, value)],
+                False)
+    return (lambda rows: [r for r in rows
+                          if (a := r[i]) is not None
+                          and (b := r[j]) is not None and op(a, b)],
+            False)
 
 
 def compile_predicate(pred: Predicate, slot_of: Mapping[ColumnRef, int],
@@ -174,9 +211,24 @@ _SWAPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 def _compile_comparison(pred: Comparison, slot_of: Mapping[ColumnRef, int],
                         type_of: Callable[[ColumnRef], SqlType],
                         ) -> tuple[Test, bool]:
-    typed = _typed_comparison(pred, slot_of, type_of)
+    typed = _slot_comparison(pred, slot_of, type_of)
     if typed is not None:
-        return typed, False
+        op, i, j, value = typed
+        if j is None:
+            def column_literal(row: Row) -> Tristate:
+                a = row[i]
+                if a is None:
+                    return UNKNOWN
+                return TRUE if op(a, value) else FALSE
+            return column_literal, False
+
+        def column_column(row: Row) -> Tristate:
+            a = row[i]
+            b = row[j]
+            if a is None or b is None:
+                return UNKNOWN
+            return TRUE if op(a, b) else FALSE
+        return column_column, False
     kinds = {_static_kind(pred.left, type_of),
              _static_kind(pred.right, type_of)} - {None}
     raises = len(kinds) > 1 or any(
@@ -197,47 +249,31 @@ def _compile_comparison(pred: Comparison, slot_of: Mapping[ColumnRef, int],
     return comparison, raises
 
 
-def _typed_comparison(pred: Comparison, slot_of: Mapping[ColumnRef, int],
-                      type_of: Callable[[ColumnRef], SqlType],
-                      ) -> Test | None:
-    """pred read straight from the row's slots, or None.
+def _slot_comparison(pred: Comparison, slot_of: Mapping[ColumnRef, int],
+                     type_of: Callable[[ColumnRef], SqlType],
+                     ) -> tuple[Callable[[SqlValue, SqlValue], bool], int,
+                                int | None, SqlValue] | None:
+    """pred as (op, i, j, value), read straight from the row's slots, or None.
 
-    Only a comparison whose two sides have one static kind, neither
-    NULL, gets one.  Stored values always have their column's kind, so
-    it needs no per-row kind check and never raises.
+    It is op(row[i], row[j]), or op(row[i], value) when j is None.  Only
+    a comparison of a column with another column or with a non-NULL
+    literal of its kind, either way round, gets one.  Stored values
+    always have their column's kind, so it needs no per-row kind check
+    and never raises.
     """
     left, right = pred.left, pred.right
     kind = _static_kind(left, type_of)
     if kind is None or kind is not _static_kind(right, type_of):
         return None
+    op = COMPARE_OPS[pred.op]
     if isinstance(left, Literal):
         if isinstance(right, Literal):
-            state = TRUE if COMPARE_OPS[pred.op](left.value,
-                                                 right.value) else FALSE
-            return lambda row: state
+            return None
         left, right = right, left
         op = COMPARE_OPS[_SWAPPED[pred.op]]
-    else:
-        op = COMPARE_OPS[pred.op]
-    i = slot_of[left]
     if isinstance(right, Literal):
-        value = right.value
-
-        def column_literal(row: Row) -> Tristate:
-            a = row[i]
-            if a is None:
-                return UNKNOWN
-            return TRUE if op(a, value) else FALSE
-        return column_literal
-    j = slot_of[right]
-
-    def column_column(row: Row) -> Tristate:
-        a = row[i]
-        b = row[j]
-        if a is None or b is None:
-            return UNKNOWN
-        return TRUE if op(a, b) else FALSE
-    return column_column
+        return op, slot_of[left], None, right.value
+    return op, slot_of[left], slot_of[right], None
 
 
 def kind_mismatch(pred: Predicate, type_of: Callable[[ColumnRef], SqlType],

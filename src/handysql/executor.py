@@ -4,26 +4,31 @@ The Database record and its DDL live in catalog, and execute hands DDL
 statements to it.  An insert is stored only after every constraint has
 passed, by catalog.store_row, which also indexes its keys.
 
-A select is planned once and then run as a stream of rows.  Planning
-binds every column reference to a slot of the combined row.  A join
-compiles each top-level AND conjunct of ON and WHERE once, at the slots
-of the rows it filters, and when none can raise places each where its
-columns first meet: one naming a single table filters that table's
-rows before the join, the first equality of each later table with an
-earlier one becomes its hash join key, and the rest filter the joined
-rows.  Otherwise, and for a single table, ON and WHERE are compiled
-whole and filter the whole product, ON first, so errors come as from a
-plain nested loop.  A single stored table whose WHERE cannot raise, and
-whose top-level AND conjuncts set every column of one PRIMARY KEY or
-UNIQUE key equal to a non-NULL literal, finds the one row that can pass
-with one probe of that key's index, and WHERE runs on that row alone;
-the rows, their order and the errors stay those of the scan.
-Running pulls rows through generators, left to right over the FROM
-list, and keeps nested-loop order: rows follow the first table's
-insertion order, then the second table's within each, and so on.  A
-comma join with a WHERE filter is the same computation as INNER JOIN
-... ON.  Join output is all left-table columns then all
-right-table columns, in schema order, names un-renamed.
+A select is planned once and then run.  Planning binds every column
+reference to a slot of the combined row.  A join compiles each
+top-level AND conjunct of ON and WHERE once, at the slots of the rows
+it filters, and when none can raise places each where its columns
+first meet: one naming a single table filters that table's rows before
+the join, the first equality of each later table with an earlier one
+becomes its hash join key, and the rest filter the joined rows.
+Otherwise, and for a single table, ON and WHERE filter the whole
+product, ON first, so errors come as from a plain nested loop.  A
+single stored table whose WHERE cannot raise, and whose top-level AND
+conjuncts set every column of one PRIMARY KEY or UNIQUE key equal to a
+non-NULL literal, finds the one row that can pass with one probe of
+that key's index, and WHERE runs on that row alone; the rows, their
+order and the errors stay those of the scan.
+
+Each filter runs as passes, one executor.eval_predicate call each,
+that read rows and keep, in a list and in order, those where it is
+TRUE: a predicate that cannot raise is one pass per top-level AND
+conjunct, in syntax order, and one that can is one pass, whole.  Joins
+pull rows through generators, left to right over the FROM list, and
+keep nested-loop order: rows follow the first table's insertion order,
+then the second table's within each, and so on.  A comma join with a
+WHERE filter is the same computation as INNER JOIN ... ON.  Join output
+is all left-table columns then all right-table columns, in schema
+order, names un-renamed.
 
 The select list is read only once every filtered row is in hand, so
 each filter error comes before any of its errors.  A list of columns
@@ -35,7 +40,6 @@ kind of every value, so no value's kind is checked.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -48,7 +52,7 @@ from .catalog import ColumnSchema, Database, Table
 from .constraints import check_row
 from .errors import OraError, violation_error
 from .evaluate import (
-    TRUE, Test, compile_predicate, conjoin, eval_predicate, predicate_nodes,
+    RowsWhere, compile_filter, eval_predicate, predicate_nodes,
 )
 from .nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, BoolOp, ColumnRef,
@@ -220,7 +224,7 @@ class _Conjunct(NamedTuple):
     pred: Predicate
     slots: list[int]  # of its columns in the combined row, syntax order
     named: list[int]  # the sources it names, ascending
-    test: Test  # compiled at the slots where it runs
+    rows_where: RowsWhere  # its filter pass, at the slots where it runs
     raises: bool
 
 
@@ -235,10 +239,10 @@ def _compiled(scope: _Scope, conj: Predicate, slot_of: dict[ColumnRef, int],
     slots = [slot_of[ref] for ref in refs]
     named = sorted({scope.column_at(slot)[0] for slot in slots})
     offset = scope.sources[named[0]].offset if len(named) == 1 else 0
-    test, raises = compile_predicate(
+    rows_where, raises = compile_filter(
         conj, {ref: slot - offset for ref, slot in zip(refs, slots)},
         type_of)
-    return _Conjunct(conj, slots, named, test, raises)
+    return _Conjunct(conj, slots, named, rows_where, raises)
 
 
 def execute_select(db: Database, stmt: Select) -> ResultSet:
@@ -273,13 +277,13 @@ def _matching_rows(scope: _Scope, on: Predicate | None,
     evaluation, WHERE aggregates (934), WHERE columns, WHERE evaluation.
     A join compiles each top-level AND conjunct once, where it runs,
     and while none can raise, no error can come after planning and the
-    rows come from _pushed_down.  Otherwise ON and WHERE are compiled
-    whole and filter the product.
+    rows come from _pushed_down.  Otherwise ON and then WHERE filter
+    the product, each by _passes.
     """
     slot_of: dict[ColumnRef, int] = {}
     type_of = scope.type_of(slot_of)
     rows = _joined([source.rows for source in scope.sources])
-    # None once the filters run whole over the product.
+    # None once the filters run over the whole product.
     placed: list[_Conjunct] | None = [] if len(scope.sources) > 1 else None
     for pred in (on, where):
         if pred is None:
@@ -289,46 +293,65 @@ def _matching_rows(scope: _Scope, on: Predicate | None,
             if aggs:
                 raise OraError(934, aggs[0].line, aggs[0].column)
         slot_of.update(scope.bind(pred))
+        conjs = _conjuncts(pred)
         if placed is not None:
-            conjs = [_compiled(scope, conj, slot_of, type_of)
-                     for conj in _conjuncts(pred)]
-            if not any(conj.raises for conj in conjs):
-                placed += conjs
+            compiled = [_compiled(scope, conj, slot_of, type_of)
+                        for conj in conjs]
+            if not any(conj.raises for conj in compiled):
+                placed += compiled
                 continue
             if pred is where and on is not None:
-                # ON's conjuncts were placed; it runs whole, before WHERE.
-                rows = _passing(rows,
-                                compile_predicate(on, slot_of, type_of)[0])
+                # ON's conjuncts were placed; it runs first, over the
+                # whole product.
+                rows = _filtered(
+                    rows, _passes(on, _conjuncts(on), slot_of, type_of)[0])
             placed = None
-        test, raises = compile_predicate(pred, slot_of, type_of)
+        passes, raises = _passes(pred, conjs, slot_of, type_of)
         if not raises and len(scope.sources) == 1:
-            rows = _probed(scope.sources[0], pred)
-        rows = _passing(rows, test)
-        if pred is on:
-            # ON errors outrank every WHERE error, so ON runs over the
-            # whole product before WHERE is even resolved.
-            rows = list(rows)
+            rows = _probed(scope.sources[0], conjs)
+        # A list: ON errors outrank every WHERE error, so ON runs over
+        # the whole product before WHERE is even resolved.
+        rows = _filtered(rows, passes)
     return rows if placed is None else _pushed_down(scope, placed)
 
 
-def _probed(source: _Source, where: Predicate) -> list[Row]:
+def _passes(pred: Predicate, conjs: list[Predicate],
+            slot_of: dict[ColumnRef, int],
+            type_of: Callable[[ColumnRef], SqlType],
+            ) -> tuple[list[RowsWhere], bool]:
+    """pred's filter passes over the combined rows, and whether it can raise.
+
+    conjs are its top-level AND conjuncts.  While none can raise, each
+    is one pass, in syntax order: AND is the rows that pass them all.
+    Otherwise pred is one pass, whole, so its rows are read in order and
+    the first that raises does.
+    """
+    passes: list[RowsWhere] = []
+    for conj in conjs:
+        rows_where, raises = compile_filter(conj, slot_of, type_of)
+        if raises:
+            if conj is not pred:
+                rows_where = compile_filter(pred, slot_of, type_of)[0]
+            return [rows_where], True
+        passes.append(rows_where)
+    return passes, False
+
+
+def _probed(source: _Source, conjs: list[Predicate]) -> list[Row]:
     """The rows of one source that may pass a WHERE that cannot raise.
 
-    When the top-level AND conjuncts of the form column = non-NULL
-    literal, either way round, pin every column of one PRIMARY KEY or
-    UNIQUE key of a stored table, only the row holding that key can
-    pass, and one probe of the key's index finds it: stored keys are
-    unique, and the index matches by == and hash, which agree with the
-    comparison's =.  Otherwise every row may pass.  A column pinned
-    twice is looked up by its first literal; WHERE still runs on the row
-    found.
+    conjs are the WHERE's top-level AND conjuncts.  When those of the
+    form column = non-NULL literal, either way round, pin every column
+    of one PRIMARY KEY or UNIQUE key of a stored table, only the row
+    holding that key can pass, and one probe of the key's index finds
+    it: stored keys are unique, and the index matches by == and hash,
+    which agree with the comparison's =.  Otherwise every row may pass.
+    A column pinned twice is looked up by its first literal; WHERE still
+    runs on the row found.
     """
     table = source.table
     if not table.keys:
         return source.rows
-    conjs: Iterable[Predicate] = (
-        _conjuncts(where) if type(where) is BoolOp and where.op == "AND"
-        else (where,))
     pinned: dict[str, SqlValue] = {}
     for conj in conjs:
         if type(conj) is not Comparison:
@@ -363,15 +386,16 @@ def _pushed_down(scope: _Scope, conjs: list[_Conjunct]) -> Iterable[Row]:
     exactly the pairs where it is TRUE, so it is not evaluated again.
     Each other conjunct filters the joined rows as soon as the last
     source it names has been joined.  The conjuncts of one place run as
-    one AND, in syntax order.
+    successive passes, in syntax order.
     """
     n = len(scope.sources)
-    before: list[list[Test]] = [[] for _ in range(n)]
-    after: list[list[Test]] = [[] for _ in range(n)]
+    before: list[list[RowsWhere]] = [[] for _ in range(n)]
+    after: dict[int, list[RowsWhere]] = {}
     keys: dict[int, tuple[int, int]] = {}
     for conj in conjs:
         if len(conj.named) <= 1:
-            before[conj.named[0] if conj.named else 0].append(conj.test)
+            before[conj.named[0] if conj.named else 0].append(
+                conj.rows_where)
             continue
         last = conj.named[-1]
         if (isinstance(conj.pred, Comparison) and conj.pred.op == "="
@@ -380,28 +404,20 @@ def _pushed_down(scope: _Scope, conjs: list[_Conjunct]) -> Iterable[Row]:
             left, right = sorted(conj.slots)
             keys[last] = (left, right - scope.sources[last].offset)
         else:
-            after[last].append(conj.test)
-
-    inputs: list[Iterable[Row]] = []
-    for i, source in enumerate(scope.sources):
-        rows: Iterable[Row] = source.rows
-        if before[i]:
-            rows = _passing(rows, functools.reduce(conjoin, before[i]))
-            if i:
-                rows = list(rows)
-        inputs.append(rows)
-    filters = {i: functools.reduce(conjoin, tests)
-               for i, tests in enumerate(after) if tests}
-    return _joined(inputs, keys, filters)
+            after.setdefault(last, []).append(conj.rows_where)
+    inputs = [_filtered(source.rows, passes)
+              for source, passes in zip(scope.sources, before)]
+    return _joined(inputs, keys, after)
 
 
 def _joined(inputs: list[Iterable[Row]],
             keys: dict[int, tuple[int, int]] | None = None,
-            filters: dict[int, Test] | None = None) -> Iterable[Row]:
+            filters: dict[int, list[RowsWhere]] | None = None,
+            ) -> Iterable[Row]:
     """The combined rows of each source's rows, left to right.
 
     Sources after the first are lists.  keys gives the hash join key of
-    a source, and filters a test on the rows joined through it.
+    a source, and filters the passes over the rows joined through it.
     """
     keys = keys or {}
     filters = filters or {}
@@ -412,8 +428,7 @@ def _joined(inputs: list[Iterable[Row]],
             rows = _hash_join(rows, right, *keys[i])
         else:
             rows = _nested_join(rows, right)
-        if i in filters:
-            rows = _passing(rows, filters[i])
+        rows = _filtered(rows, filters.get(i, ()))
     return rows
 
 
@@ -440,11 +455,12 @@ def _hash_join(left_rows: Iterable[Row], right_rows: list[Row],
             yield left + right
 
 
-def _passing(rows: Iterable[Row], test: Test) -> Iterator[Row]:
-    """The rows on which a compiled predicate is TRUE, evaluated in order."""
-    for row in rows:
-        if eval_predicate(test, row) is TRUE:
-            yield row
+def _filtered(rows: Iterable[Row],
+              passes: Iterable[RowsWhere]) -> Iterable[Row]:
+    """The rows that pass each filter pass in turn, in their order."""
+    for rows_where in passes:
+        rows = eval_predicate(rows_where, rows)
+    return rows
 
 
 def _item_header(item) -> str:

@@ -38,7 +38,7 @@ loading, must match what the constraints imply.  Loading rebuilds one
 Database record, tables holding their rows, and re-validates every row
 against its column types and all constraints, so a snapshot edited into
 an inconsistent state is rejected rather than trusted; each key's index
-is then built over the rows that passed it.  Each table goes
+is built in the pass that validates the key.  Each table goes
 through catalog.define_table, as CREATE TABLE's do, and each CONSTRAINT
 line through catalog.install_constraint, as ALTER TABLE ... ADD
 CONSTRAINT's do, so a state DDL refuses is an error that names its
@@ -60,7 +60,7 @@ from itertools import repeat
 
 from .catalog import (
     ColumnSchema, ConstraintDef, Database, Position, Table, define_table,
-    index_key, install_constraint,
+    install_constraint,
 )
 from .constraints import not_null_sources, validate_existing
 from .errors import OraError
@@ -387,8 +387,6 @@ def _validate(db: Database, flagged: dict[str, set[str]]) -> None:
         if violation is not None:
             raise SnapshotError(
                 f"rows violate constraint {con.name} ({violation.reason})")
-        if con.kind in ("PK", "UNIQUE"):
-            index_key(db.tables[con.table], con)
     # The COL lines' NOT NULL flags must say what the constraints imply.
     for name, marked in flagged.items():
         enforced = set(not_null_sources(db, name))

@@ -5,7 +5,7 @@ from decimal import Decimal
 import pytest
 
 import reference
-from handysql import conformance
+from handysql import conformance, executor
 from handysql.evaluate import compile_predicate, predicate_nodes
 from handysql.executor import Database
 from handysql.nodes import ColumnRef
@@ -75,3 +75,25 @@ def session() -> Session:
 @pytest.fixture
 def classroom() -> Session:
     return make_session(conformance.load_fixture("classroom_full"))
+
+
+@pytest.fixture
+def passes(monkeypatch) -> list[tuple[int, int | None]]:
+    """Each filter pass a statement runs: (rows read, their width).
+
+    executor.eval_predicate runs one pass over its rows.  The wrapper
+    reads them out first, so a pass over a join counts the joined rows.
+    The width is the one length of its rows, None when it reads none.
+    """
+    seen: list[tuple[int, int | None]] = []
+    original = executor.eval_predicate
+
+    def counting(rows_where, rows):
+        rows = list(rows)
+        widths = {len(row) for row in rows}
+        assert len(widths) <= 1
+        seen.append((len(rows), widths.pop() if widths else None))
+        return original(rows_where, rows)
+
+    monkeypatch.setattr(executor, "eval_predicate", counting)
+    return seen

@@ -8,11 +8,14 @@ truth value or raise the same (code, line, column).  Each slot has a
 declared type and holds values of its kind only, as stored rows do, so
 the compiler's typed comparisons run; slots and literals of different
 kinds still meet, so the checked comparisons and their errors run too.
-A test the compiler says cannot raise must never raise.
+A test the compiler says cannot raise must never raise.  The filter
+kernels of evaluate.compile_filter are checked the same way: each keeps,
+in order, exactly the rows the oracle finds TRUE.
 """
 
 import datetime
 import itertools
+import operator
 from decimal import Decimal
 
 from hypothesis import given, settings, strategies as st
@@ -21,7 +24,7 @@ import reference
 from conftest import REF_TRUTH, make_session, run_sql
 from handysql.catalog import BUILTINS
 from handysql.errors import OraError
-from handysql.evaluate import compile_predicate, eval_predicate
+from handysql.evaluate import compile_filter, compile_predicate
 from handysql.nodes import (AggregateCall, BoolOp, ColumnRef, Comparison,
                             IsNull, Literal, Not)
 from handysql.persistence import SnapshotError, loads, saves
@@ -105,10 +108,60 @@ def test_compiled_predicate_matches_tree_walk(pred, table):
     for row in rows:
         expected = outcome(lambda: reference.interpret_predicate(
             pred, lambda ref: row[SLOT_OF[ref]]))
-        got = outcome(lambda: REF_TRUTH[eval_predicate(test, row)])
+        got = outcome(lambda: REF_TRUTH[test(row)])
         assert got == expected
         # A test said not to raise never does.
         assert raises or isinstance(expected, str)
+
+
+# Two columns of each kind, so a comparison may pair two columns of one
+# kind as well as a column with itself.
+FILTER_KINDS = ((NumberType(10, 2), NUMBERS), (NumberType(10, 2), NUMBERS),
+                (Varchar2Type(5), TEXTS), (Varchar2Type(5), TEXTS),
+                (DateType(), DATES), (DateType(), DATES))
+FILTER_SLOTS = {ColumnRef(f"C{i}"): i for i in range(len(FILTER_KINDS))}
+
+
+@st.composite
+def kernel_predicates(draw):
+    """A conjunct that compile_filter scans without a per-row call.
+
+    A column against a non-NULL literal of its kind on either side,
+    two columns of one kind, or a column IS [NOT] NULL.
+    """
+    i = draw(st.integers(0, len(FILTER_KINDS) - 1))
+    column = ColumnRef(f"C{i}", line=1, column=1)
+    shape = draw(st.sampled_from(("column-literal", "literal-column",
+                                  "column-column", "isnull")))
+    if shape == "isnull":
+        return IsNull(column, draw(st.booleans()), line=1, column=2)
+    if shape == "column-column":
+        # The other column of the kind, or the column itself.
+        other = ColumnRef(f"C{draw(st.sampled_from((i, i ^ 1)))}",
+                          line=1, column=3)
+    else:
+        other = Literal(draw(FILTER_KINDS[i][1]), line=1, column=3)
+    if shape == "literal-column":
+        column, other = other, column
+    op = draw(st.sampled_from(("=", "!=", "<", "<=", ">", ">=")))
+    return Comparison(op, column, other, line=1, column=2)
+
+
+@settings(max_examples=400)
+@given(kernel_predicates(), st.lists(
+    st.tuples(*(st.one_of(st.none(), values)
+                for _, values in FILTER_KINDS)).map(list), max_size=8))
+def test_filter_kernels_match_tree_walk(pred, rows):
+    """A kernel keeps, in order, the rows where the oracle says TRUE."""
+    rows_where, raises = compile_filter(
+        pred, FILTER_SLOTS, lambda ref: FILTER_KINDS[FILTER_SLOTS[ref]][0])
+    assert not raises
+    expected = [row for row in rows if reference.interpret_predicate(
+        pred, lambda ref: row[FILTER_SLOTS[ref]]) == reference.TRUE]
+    got = rows_where(iter(rows))
+    assert got == expected
+    # The very rows, not copies.
+    assert all(map(operator.is_, got, expected))
 
 
 # The compiled comparisons above trust that a column of each type only

@@ -123,21 +123,19 @@ def test_comma_where_equals_inner_join_on(classroom):
     assert comma.rows == inner.rows
 
 
-def test_equi_join_evaluates_only_matching_pairs(session, monkeypatch):
+def test_equi_join_evaluates_only_matching_pairs(session, passes):
     run_sql(session, "CREATE TABLE T(K NUMBER, V VARCHAR2(5))")
     run_sql(session, "CREATE TABLE U(K NUMBER(5,2), W DATE)")
     for k in range(10):
         run_sql(session, f"INSERT INTO T VALUES({k}, 'V{k}')")
         run_sql(session, f"INSERT INTO U VALUES({9 - k}, NULL)")
     run_sql(session, "INSERT INTO U VALUES(NULL, NULL)")
-    calls = []
-    evaluate = executor.eval_predicate
-    monkeypatch.setattr(executor, "eval_predicate",
-                        lambda *args: calls.append(1) or evaluate(*args))
     rs = select(session, "SELECT T.V, U.K FROM T, U "
                          "WHERE U.K = T.K AND T.V != 'V3'")
     assert [r[0] for r in rs.rows] == [f"V{k}" for k in range(10) if k != 3]
-    assert len(calls) == 10  # one candidate per T row, not 10 x 11
+    # One pass reads each T row (2 columns) once, not the 10 x 11
+    # joined rows; the hash join key is never evaluated.
+    assert passes == [(10, 2)]
     # A conjunct that may raise sends every pair through the nested
     # loop, so it raises even though no key matches.
     run_sql(session, "CREATE TABLE X(K NUMBER)")
@@ -154,13 +152,13 @@ def test_join_compiles_each_conjunct_once(session, monkeypatch):
         for k in range(3):
             run_sql(session, f"INSERT INTO {name} VALUES({k}, {k * 10})")
     compiled = []
-    original = executor.compile_predicate
+    original = executor.compile_filter
 
     def counting(pred, slot_of, type_of):
         compiled.append(render_predicate(pred))
         return original(pred, slot_of, type_of)
 
-    monkeypatch.setattr(executor, "compile_predicate", counting)
+    monkeypatch.setattr(executor, "compile_filter", counting)
     rs = select(session, "SELECT A.K, C.V FROM A, B, C WHERE A.K = B.K "
                 "AND (B.K = C.K AND A.V >= 10) AND C.V >= A.V")
     assert rs.rows == [[Decimal(1), Decimal(10)], [Decimal(2), Decimal(20)]]
@@ -502,15 +500,6 @@ def keyed(session):
     return session
 
 
-@pytest.fixture
-def evaluations(monkeypatch):
-    calls = []
-    original = executor.eval_predicate
-    monkeypatch.setattr(executor, "eval_predicate",
-                        lambda *args: calls.append(1) or original(*args))
-    return calls
-
-
 @pytest.mark.parametrize("text, rows", [
     ("SELECT * FROM R WHERE ID = 17", [[17, 4, "T1", None]]),
     ("SELECT TAG FROM R X WHERE 17.0 = X.ID", [["T1"]]),
@@ -519,11 +508,12 @@ def evaluations(monkeypatch):
     ("SELECT ID FROM R WHERE ID = 17 AND ID = 18", []),
     ("SELECT ID FROM R WHERE ID = 500", []),
 ])
-def test_key_pinned_select_evaluates_at_most_one_row(keyed, evaluations,
+def test_key_pinned_select_evaluates_at_most_one_row(keyed, passes,
                                                      text, rows):
     got = select(keyed, text).rows
     assert [[_exact(v) for v in row] for row in got] == rows
-    assert len(evaluations) <= 1
+    assert passes
+    assert all(read <= 1 for read, _ in passes)
 
 
 @pytest.mark.parametrize("text, evaluated", [
@@ -535,10 +525,25 @@ def test_key_pinned_select_evaluates_at_most_one_row(keyed, evaluations,
     ("SELECT * FROM USER_CONSTRAINTS WHERE CONSTRAINT_NAME = 'PK_R'", 2),
     ("SELECT R.ID FROM R, ONE WHERE R.ID = 17", 200),
 ])
-def test_other_selects_evaluate_every_row(keyed, evaluations, text,
+def test_other_selects_evaluate_every_row(keyed, passes, text,
                                           evaluated):
     select(keyed, text)
-    assert len(evaluations) == evaluated
+    # The first pass reads every row: nothing was probed.
+    assert passes[0][0] == evaluated
+
+
+@pytest.mark.parametrize("text, read, kept", [
+    # Each conjunct reads the rows the one before it kept.
+    ("SELECT ID FROM R WHERE TAG = 'T1' AND GRP < 10", [200, 50], 10),
+    ("SELECT ID FROM R WHERE GRP < 10 AND (TAG = 'T1')", [200, 40], 10),
+    ("SELECT ID FROM R WHERE ID > 0 AND NOT (GRP = 3) AND TAG IS NOT NULL",
+     [200, 199, 195], 195),
+    # A WHERE that can raise runs whole, in one pass.
+    ("SELECT ID FROM R WHERE GRP < 10 AND W = 5", [200], 0),
+])
+def test_and_runs_as_successive_passes(keyed, passes, text, read, kept):
+    assert len(select(keyed, text).rows) == kept
+    assert [n for n, _ in passes] == read
 
 
 @pytest.mark.parametrize("modify, reload", [
@@ -546,7 +551,7 @@ def test_other_selects_evaluate_every_row(keyed, evaluations, text,
     ids=["modify", "loads", "modify-loads"])
 @pytest.mark.parametrize("pin", ["17", "17.00"])
 def test_key_pinned_select_finds_its_row_after_modify_and_load(
-        keyed, evaluations, modify, reload, pin):
+        keyed, passes, modify, reload, pin):
     """A widened or reloaded key still finds its row, 17 or 17.00."""
     db = keyed.db
     if modify:
@@ -555,7 +560,7 @@ def test_key_pinned_select_finds_its_row_after_modify_and_load(
         db = loads(saves(db))
     got = execute(db, parse_text(f"SELECT ID, TAG FROM R WHERE ID = {pin}"))
     assert [[_exact(v) for v in row] for row in got.rows] == [[17, "T1"]]
-    assert len(evaluations) == 1
+    assert passes == [(1, 4)]
 
 
 class _Unscanned(list):
