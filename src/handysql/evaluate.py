@@ -11,11 +11,13 @@ column's kind, so a comparison whose two sides have one static kind
 slots directly and never checks kinds or raises.  Any other comparison
 checks kinds on every row, as the tree walk in tests/reference.py does.
 kind_mismatch finds a comparison of two kinds before any row is read.
-AND and OR skip their right side once the left side decides, unless
-the right side can raise: then both sides run, left first, so its
-error surfaces as in a full evaluation.  Aggregate calls are illegal
-inside predicates: one raises 934 at its own position when it is
-evaluated, not when it is compiled.
+An AND or OR chain pairs off its operands level by level, each pair
+one closure, so n operands nest about log2(n) deep.  A pair skips its
+right side once the left side decides, unless the right side can raise:
+then both sides run, left first, so every operand that can raise runs,
+in syntax order, and its error surfaces as in a full evaluation.
+Aggregate calls are illegal inside predicates: one raises 934 at its
+own position when it is evaluated, not when it is compiled.
 
 compile_filter turns a predicate into a filter pass: a function from
 rows to the list of those where it is TRUE, in their order.  A column
@@ -123,58 +125,42 @@ def compile_predicate(pred: Predicate, slot_of: Mapping[ColumnRef, int],
             return UNKNOWN
         return negation, raises
     if isinstance(pred, BoolOp):
-        left, left_raises = compile_predicate(pred.left, slot_of, type_of)
-        right, right_raises = compile_predicate(pred.right, slot_of, type_of)
-        raises = left_raises or right_raises
-        if pred.op == "AND":
-            if right_raises:
-                def conjunction(row: Row) -> Tristate:
-                    a = left(row)
-                    b = right(row)
-                    if a is FALSE or b is FALSE:
-                        return FALSE
-                    if a is TRUE and b is TRUE:
-                        return TRUE
-                    return UNKNOWN
-                return conjunction, raises
-            return conjoin(left, right), raises
-        if right_raises:
-            def disjunction(row: Row) -> Tristate:
-                a = left(row)
-                b = right(row)
-                if a is TRUE or b is TRUE:
-                    return TRUE
-                if a is FALSE and b is FALSE:
-                    return FALSE
-                return UNKNOWN
-            return disjunction, raises
-
-        def short_disjunction(row: Row) -> Tristate:
-            a = left(row)
-            if a is TRUE:
-                return TRUE
-            b = right(row)
-            if a is FALSE or b is TRUE:
-                return b
-            return UNKNOWN
-        return short_disjunction, raises
+        compiled = [compile_predicate(operand, slot_of, type_of)
+                    for operand in pred.operands]
+        while len(compiled) > 1:
+            paired = [_combine(pred.op, *compiled[i:i + 2])
+                      for i in range(0, len(compiled) - 1, 2)]
+            if len(compiled) % 2:
+                paired.append(compiled[-1])
+            compiled = paired
+        return compiled[0]
     raise AssertionError(f"unknown predicate {pred!r}")
 
 
-def conjoin(left: Test, right: Test) -> Test:
-    """left AND right, for a right that cannot raise.
+def _combine(op: str, left: tuple[Test, bool], right: tuple[Test, bool],
+             ) -> tuple[Test, bool]:
+    """left op right, for op AND or OR, from each side's compiled test.
 
-    right runs only on rows where left is not FALSE.
+    FALSE decides an AND and TRUE an OR; the other is its identity.
     """
-    def short_conjunction(row: Row) -> Tristate:
-        a = left(row)
-        if a is FALSE:
-            return FALSE
-        b = right(row)
-        if a is TRUE or b is FALSE:
-            return b
-        return UNKNOWN
-    return short_conjunction
+    (left_test, left_raises), (right_test, right_raises) = left, right
+    decides, identity = (FALSE, TRUE) if op == "AND" else (TRUE, FALSE)
+    if right_raises:
+        def both(row: Row) -> Tristate:
+            a = left_test(row)
+            b = right_test(row)
+            if a is decides or b is decides:
+                return decides
+            return b if a is identity else UNKNOWN
+        return both, True
+
+    def short(row: Row) -> Tristate:
+        a = left_test(row)
+        if a is decides:
+            return decides
+        b = right_test(row)
+        return b if a is identity or b is decides else UNKNOWN
+    return short, left_raises
 
 
 def _compile_expr(expr: Expr, slot_of: Mapping[ColumnRef, int],
@@ -304,9 +290,12 @@ def predicate_nodes(pred: Predicate, kind: type[N]) -> list[N]:
     def walk(node: Predicate | Expr) -> None:
         if isinstance(node, kind):
             found.append(node)
-        if isinstance(node, (Comparison, BoolOp)):
+        if isinstance(node, Comparison):
             walk(node.left)
             walk(node.right)
+        elif isinstance(node, BoolOp):
+            for operand in node.operands:
+                walk(operand)
         elif isinstance(node, (IsNull, Not)):
             walk(node.operand)
         elif isinstance(node, AggregateCall) and node.arg is not None:

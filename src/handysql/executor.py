@@ -55,9 +55,9 @@ from .evaluate import (
     RowsWhere, compile_filter, eval_predicate, predicate_nodes,
 )
 from .nodes import (
-    AggregateCall, AlterAddConstraint, AlterModify, BoolOp, ColumnRef,
-    Comparison, CreateTable, Describe, Insert, Literal, Predicate,
-    Select, Statement, TableRef,
+    AggregateCall, AlterAddConstraint, AlterModify, ColumnRef, Comparison,
+    CreateTable, Describe, Insert, Literal, Predicate, Select, Statement,
+    TableRef, chain_operands,
 )
 from .render import render_expr
 from .values import (
@@ -203,23 +203,6 @@ class _Scope:
         return lambda ref: self.column_at(slot_of[ref])[1].type
 
 
-def _conjuncts(pred: Predicate) -> list[Predicate]:
-    """The operands of pred's top-level ANDs, parenthesised ones too.
-
-    They come in syntax order, from a loop rather than a recursion, so
-    a long AND chain costs no stack depth.
-    """
-    conjs: list[Predicate] = []
-    stack = [pred]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BoolOp) and node.op == "AND":
-            stack += (node.right, node.left)
-        else:
-            conjs.append(node)
-    return conjs
-
-
 class _Conjunct(NamedTuple):
     pred: Predicate
     slots: list[int]  # of its columns in the combined row, syntax order
@@ -293,7 +276,7 @@ def _matching_rows(scope: _Scope, on: Predicate | None,
             if aggs:
                 raise OraError(934, aggs[0].line, aggs[0].column)
         slot_of.update(scope.bind(pred))
-        conjs = _conjuncts(pred)
+        conjs = chain_operands(pred, "AND")
         if placed is not None:
             compiled = [_compiled(scope, conj, slot_of, type_of)
                         for conj in conjs]
@@ -303,10 +286,9 @@ def _matching_rows(scope: _Scope, on: Predicate | None,
             if pred is where and on is not None:
                 # ON's conjuncts were placed; it runs first, over the
                 # whole product.
-                rows = _filtered(
-                    rows, _passes(on, _conjuncts(on), slot_of, type_of)[0])
+                rows = _filtered(rows, _passes(on, slot_of, type_of)[0])
             placed = None
-        passes, raises = _passes(pred, conjs, slot_of, type_of)
+        passes, raises = _passes(pred, slot_of, type_of)
         if not raises and len(scope.sources) == 1:
             rows = _probed(scope.sources[0], conjs)
         # A list: ON errors outrank every WHERE error, so ON runs over
@@ -315,19 +297,18 @@ def _matching_rows(scope: _Scope, on: Predicate | None,
     return rows if placed is None else _pushed_down(scope, placed)
 
 
-def _passes(pred: Predicate, conjs: list[Predicate],
-            slot_of: dict[ColumnRef, int],
+def _passes(pred: Predicate, slot_of: dict[ColumnRef, int],
             type_of: Callable[[ColumnRef], SqlType],
             ) -> tuple[list[RowsWhere], bool]:
     """pred's filter passes over the combined rows, and whether it can raise.
 
-    conjs are its top-level AND conjuncts.  While none can raise, each
-    is one pass, in syntax order: AND is the rows that pass them all.
+    While none of its top-level AND conjuncts can raise, each is one
+    pass, in syntax order: AND is the rows that pass them all.
     Otherwise pred is one pass, whole, so its rows are read in order and
     the first that raises does.
     """
     passes: list[RowsWhere] = []
-    for conj in conjs:
+    for conj in chain_operands(pred, "AND"):
         rows_where, raises = compile_filter(conj, slot_of, type_of)
         if raises:
             if conj is not pred:
@@ -337,7 +318,7 @@ def _passes(pred: Predicate, conjs: list[Predicate],
     return passes, False
 
 
-def _probed(source: _Source, conjs: list[Predicate]) -> list[Row]:
+def _probed(source: _Source, conjs: tuple[Predicate, ...]) -> list[Row]:
     """The rows of one source that may pass a WHERE that cannot raise.
 
     conjs are the WHERE's top-level AND conjuncts.  When those of the

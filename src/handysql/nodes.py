@@ -74,12 +74,22 @@ class Not(NamedTuple):
 
 @positions_ignored
 class BoolOp(NamedTuple):
+    """A whole AND or OR chain: two or more operands, in syntax order.
+
+    No operand is a chain of the same op: a parenthesised one joins its
+    parent, so every spelling of one chain gives one equal node.
+    """
+
     op: str  # AND | OR
-    left: "Predicate"
-    right: "Predicate"
+    operands: tuple["Predicate", ...]
 
 
 Predicate = Comparison | IsNull | Not | BoolOp
+
+
+def chain_operands(pred: Predicate, op: str) -> tuple[Predicate, ...]:
+    """pred's operands if it is an op chain, else pred alone."""
+    return pred.operands if type(pred) is BoolOp and pred.op == op else (pred,)
 
 
 @positions_ignored

@@ -16,6 +16,7 @@ The token stream gets one END token appended, so lookahead never runs
 out; an error found at END is reported at the last real token.  NOTs
 and parentheses nest at most MAX_NESTING deep in a predicate; the one
 that goes deeper is 900, well before the interpreter's recursion limit.
+An AND or OR chain of any length is one BoolOp, built in a loop.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .nodes import (
     ColumnClause, ColumnRef, Comparison, CreateTable, Describe, Expr,
     FallbackBody, Insert, IsNull, Literal, Not, Predicate, PrimaryKeyBody,
     Select, SelectItem, Statement, TableRef, TypeSpec, UniqueBody,
+    chain_operands,
 )
 
 _COMPARE_PUNCT = {"=", "!=", "<>", "<", "<=", ">", ">="}
@@ -52,6 +54,14 @@ _T = TypeVar("_T")
 
 def _lexemes(tokens: list[Token]) -> tuple[str, ...]:
     return tuple(t.lexeme for t in tokens)
+
+
+def _chain(op: str, operands: list[Predicate]) -> BoolOp:
+    """One op chain of two or more operands, groups of op flattened."""
+    flat: list[Predicate] = []
+    for pred in operands:
+        flat += chain_operands(pred, op)
+    return BoolOp(op, tuple(flat))
 
 
 class _Parser:
@@ -293,16 +303,16 @@ class _Parser:
     # -- predicates ----------------------------------------------------
 
     def predicate(self) -> Predicate:
-        left = self.pred_and()
+        operands = [self.pred_and()]
         while self.accept_kw("OR"):
-            left = BoolOp("OR", left, self.pred_and())
-        return left
+            operands.append(self.pred_and())
+        return operands[0] if len(operands) == 1 else _chain("OR", operands)
 
     def pred_and(self) -> Predicate:
-        left = self.pred_not()
+        operands = [self.pred_not()]
         while self.accept_kw("AND"):
-            left = BoolOp("AND", left, self.pred_not())
-        return left
+            operands.append(self.pred_not())
+        return operands[0] if len(operands) == 1 else _chain("AND", operands)
 
     def pred_not(self) -> Predicate:
         tok = self.tokens[self.pos]

@@ -2,7 +2,9 @@
 
 Select-list headers and snapshot CHECK lines use it.  Rendering then
 parsing a predicate gives the same tree (positions aside): parentheses
-appear exactly where precedence needs them.
+appear exactly where precedence needs them.  An AND or OR chain is its
+operands joined by its op; no operand is a chain of the same op, so
+only an OR inside an AND, or a chain inside a NOT, is parenthesised.
 """
 
 from __future__ import annotations
@@ -52,11 +54,8 @@ def _render_pred(pred: Predicate, parent_prec: int) -> str:
         prec = _PREC_NOT
     elif isinstance(pred, BoolOp):
         prec = _PREC_AND if pred.op == "AND" else _PREC_OR
-        # Left-associative: an equal-precedence right child needs parens
-        # to keep its shape through a reparse.
-        left = _render_pred(pred.left, prec)
-        right = _render_pred(pred.right, prec + 1)
-        text = f"{left} {pred.op} {right}"
+        text = f" {pred.op} ".join(
+            [_render_pred(operand, prec) for operand in pred.operands])
     else:
         raise AssertionError(f"unknown predicate {pred!r}")
     if prec < parent_prec:

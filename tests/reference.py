@@ -32,6 +32,7 @@ import re
 import string
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
+from functools import reduce
 
 from handysql.errors import OraError
 from handysql.lexer import TokenKind
@@ -348,8 +349,8 @@ def interpret_predicate(pred, resolve) -> str:
 
     resolve maps a column reference to its value.  This is the engine's
     evaluator from before predicates were compiled: comparisons read
-    left then right, AND/OR always evaluate both sides, and an
-    aggregate raises 934 when reached.  Two non-NULL values of
+    left then right, AND/OR always evaluate every operand, in order, and
+    an aggregate raises 934 when reached.  Two non-NULL values of
     different kinds raise 1722 when one is text and the other a number,
     and 932 otherwise.
     """
@@ -368,9 +369,8 @@ def interpret_predicate(pred, resolve) -> str:
     if isinstance(pred, Not):
         return not3(interpret_predicate(pred.operand, resolve))
     if isinstance(pred, BoolOp):
-        left = interpret_predicate(pred.left, resolve)
-        right = interpret_predicate(pred.right, resolve)
-        return and3(left, right) if pred.op == "AND" else or3(left, right)
+        states = [interpret_predicate(p, resolve) for p in pred.operands]
+        return reduce(and3 if pred.op == "AND" else or3, states)
     raise AssertionError(f"unknown predicate {pred!r}")
 
 
@@ -396,7 +396,7 @@ def _operands(pred) -> list:
         return [pred.operand]
     if isinstance(pred, Not):
         return _operands(pred.operand)
-    return _operands(pred.left) + _operands(pred.right)
+    return [expr for p in pred.operands for expr in _operands(p)]
 
 
 def _columns(pred) -> list:
@@ -411,8 +411,8 @@ def nested_loop_select(tables: dict, stmt) -> list[list]:
 
     tables maps a table name to (column names, rows).  Every combination
     of rows is built first; ON filters all of them, then WHERE filters
-    what is left, and errors surface in that order.  Both sides of
-    AND/OR are always evaluated.  Aggregates are COUNT, MIN, MAX, and
+    what is left, and errors surface in that order.  Every operand of
+    AND/OR is always evaluated.  Aggregates are COUNT, MIN, MAX, and
     SUM and AVG through fold_sum, fold_avg and round_sig.
     """
     header: list[tuple[set, str]] = []  # (qualifiers, column name)
@@ -456,8 +456,8 @@ def nested_loop_select(tables: dict, stmt) -> list[list]:
             return not3(state) if pred.negated else state
         if isinstance(pred, Not):
             return not3(truth(pred.operand, combo))
-        left, right = truth(pred.left, combo), truth(pred.right, combo)
-        return and3(left, right) if pred.op == "AND" else or3(left, right)
+        states = [truth(p, combo) for p in pred.operands]
+        return reduce(and3 if pred.op == "AND" else or3, states)
 
     if stmt.join_on is not None:
         for ref in _columns(stmt.join_on):

@@ -81,8 +81,8 @@ def to_engine_pred(pred):
         return IsNull(to_engine_operand(pred[1]), pred[2])
     if tag == "not":
         return Not(to_engine_pred(pred[1]))
-    return BoolOp(pred[0].upper(), to_engine_pred(pred[1]),
-                  to_engine_pred(pred[2]))
+    return BoolOp(pred[0].upper(), (to_engine_pred(pred[1]),
+                                    to_engine_pred(pred[2])))
 
 
 def passing_suite_text(name):

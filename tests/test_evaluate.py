@@ -86,7 +86,10 @@ def predicates(draw, max_depth=3):
             return IsNull(expr(), draw(st.booleans()), line=line, column=2)
         if shape == "not":
             return Not(pred(depth - 1))
-        return BoolOp(shape.upper(), pred(depth - 1), pred(depth - 1))
+        # Operands may be chains of the same op, which the parser never
+        # makes, so chains of any shape are checked.
+        return BoolOp(shape.upper(), tuple(
+            pred(depth - 1) for _ in range(draw(st.integers(2, 4)))))
 
     return pred(draw(st.integers(0, max_depth)))
 

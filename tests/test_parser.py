@@ -171,15 +171,17 @@ def test_inner_join_on():
 def test_where_predicates_and_precedence():
     stmt = parse_text(
         "SELECT * FROM T WHERE A = 1 OR B = 2 AND C = 3")
-    where = stmt.where
-    assert isinstance(where, BoolOp) and where.op == "OR"
-    assert isinstance(where.right, BoolOp) and where.right.op == "AND"
+    a, b, c = (Comparison("=", ColumnRef(name), Literal(Decimal(n)))
+               for name, n in (("A", 1), ("B", 2), ("C", 3)))
+    assert stmt.where == BoolOp("OR", (a, BoolOp("AND", (b, c))))
 
 
 def test_parenthesized_predicate_groups():
     stmt = parse_text("SELECT * FROM T WHERE (A = 1 OR B = 2) AND C = 3")
     assert isinstance(stmt.where, BoolOp) and stmt.where.op == "AND"
-    assert isinstance(stmt.where.left, BoolOp) and stmt.where.left.op == "OR"
+    group, last = stmt.where.operands
+    assert isinstance(group, BoolOp) and group.op == "OR"
+    assert len(group.operands) == 2 and isinstance(last, Comparison)
 
 
 def test_not_and_is_null():
@@ -187,8 +189,7 @@ def test_not_and_is_null():
         "SELECT * FROM T WHERE NOT A IS NULL AND B IS NOT NULL")
     assert stmt.where == BoolOp(
         "AND",
-        Not(IsNull(ColumnRef("A"))),
-        IsNull(ColumnRef("B"), negated=True))
+        (Not(IsNull(ColumnRef("A"))), IsNull(ColumnRef("B"), negated=True)))
 
 
 def test_diamond_operator_is_canonicalized():
@@ -196,10 +197,24 @@ def test_diamond_operator_is_canonicalized():
     assert stmt.where == Comparison("!=", ColumnRef("A"), Literal(Decimal(1)))
 
 
-def test_and_is_left_associative():
-    stmt = parse_text("SELECT * FROM T WHERE A=1 AND B=2 AND C=3")
-    assert isinstance(stmt.where.left, BoolOp)
-    assert not isinstance(stmt.where.right, BoolOp)
+def test_a_chain_is_one_node_however_grouped():
+    a, b, c = (Comparison("=", ColumnRef(name), Literal(Decimal(n)))
+               for name, n in (("A", 1), ("B", 2), ("C", 3)))
+    for op in ("AND", "OR"):
+        spellings = [f"(A=1 {op} B=2) {op} C=3", f"A=1 {op} B=2 {op} C=3",
+                     f"A=1 {op} (B=2 {op} C=3)",
+                     f"((A=1) {op} ((B=2) {op} C=3))"]
+        trees = [parse_text(f"SELECT * FROM T WHERE {text}").where
+                 for text in spellings]
+        assert all(tree == BoolOp(op, (a, b, c)) for tree in trees)
+        assert len({hash(tree) for tree in trees}) == 1
+
+
+def test_a_long_chain_parses_in_syntax_order():
+    text = " OR ".join(f"A = {n}" for n in range(10000))
+    where = parse_text(f"SELECT * FROM T WHERE {text}").where
+    assert where.op == "OR"
+    assert [p.right.value for p in where.operands] == list(range(10000))
 
 
 # --- alter -----------------------------------------------------------
@@ -294,8 +309,8 @@ def test_nesting_up_to_the_limit_parses():
     levels, node = 0, stmt.where
     while isinstance(node, Not):
         levels += 1
-        node = node.operand.right if isinstance(node.operand,
-                                                BoolOp) else node.operand
+        node = (node.operand.operands[-1]
+                if isinstance(node.operand, BoolOp) else node.operand)
     assert levels == MAX_NESTING // 2 + MAX_NESTING % 2
 
 

@@ -391,6 +391,27 @@ def test_check_nested_to_the_limit_works_and_round_trips():
         assert [line.strip() for line in block[3:-1]] == ["1"]
 
 
+def test_long_or_check_round_trips_and_rejects():
+    body = " OR ".join(f"A = {k}" for k in range(1, 10001))
+    db = build_db("CREATE TABLE T(A NUMBER(5))", "INSERT INTO T VALUES(7)",
+                  f"ALTER TABLE T ADD CONSTRAINT CK CHECK ({body})")
+    text = saves(db)
+    assert f"CONSTRAINT CK T CHECK {body}\n" in text
+    assert saves(loads(text)) == text
+    block = run_sql(make_session(loads(text)), "INSERT INTO T VALUES(0)")
+    assert "ORA-02290" in "\n".join(block)
+
+
+def test_check_group_of_its_own_op_saves_without_parentheses():
+    db = build_db("CREATE TABLE T(A NUMBER(5), B NUMBER(5))",
+                  "ALTER TABLE T ADD CONSTRAINT CK "
+                  "CHECK (A = 1 OR (B = 2 OR A = 3) OR (A = 4 AND B = 5))")
+    text = saves(db)
+    flat = "A = 1 OR B = 2 OR A = 3 OR A = 4 AND B = 5"
+    assert f"CONSTRAINT CK T CHECK {flat}\n" in text
+    assert saves(loads(text)) == text
+
+
 def test_check_bad_escape_rejected_with_its_line():
     text = ("HANDYDB 1\nTABLE T\nCOL A VARCHAR2(5) NULL\n"
             + r"CONSTRAINT C T CHECK \A != 'x\q'" + "\n")

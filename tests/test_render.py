@@ -73,18 +73,27 @@ def test_fallback_body_rendering():
     ) == "ALTER TABLE T ADD CONSTRAINT NN DOB NOTNULL"
 
 
+RENDERED_PREDICATES = [
+    ("A = 1 OR B = 2 AND C = 3", "A = 1 OR B = 2 AND C = 3"),
+    ("(A = 1 OR B = 2) AND C = 3", "(A = 1 OR B = 2) AND C = 3"),
+    ("(A = 1 AND B = 2) OR C = 3", "A = 1 AND B = 2 OR C = 3"),
+    ("NOT (A = 1 AND B = 2)", "NOT (A = 1 AND B = 2)"),
+    ("NOT A = 1", "NOT A = 1"),
+    ("NOT (A = 1) OR NOT (B = 2 OR C IS NULL)",
+     "NOT A = 1 OR NOT (B = 2 OR C IS NULL)"),
+    # A group of its chain's own op joins the chain.
+    ("A = 1 OR (B = 2 OR C = 3)", "A = 1 OR B = 2 OR C = 3"),
+    ("A = 1 AND (B = 2 AND C = 3) AND D = 4",
+     "A = 1 AND B = 2 AND C = 3 AND D = 4"),
+    ("A = 1 AND ((B = 2 OR (C = 3 OR D = 4)) AND E = 5)",
+     "A = 1 AND (B = 2 OR C = 3 OR D = 4) AND E = 5"),
+]
+
+
 def test_predicate_parenthesization_preserves_shape():
-    cases = [
-        "A = 1 OR B = 2 AND C = 3",
-        "(A = 1 OR B = 2) AND C = 3",
-        "NOT (A = 1 AND B = 2)",
-        "NOT A = 1",
-        "A = 1 OR (B = 2 OR C = 3)",
-        "A = 1 AND (B = 2 AND C = 3) AND D = 4",
-    ]
-    for text in cases:
+    for text, rendered in RENDERED_PREDICATES:
         tree = parse_text(f"SELECT * FROM T WHERE {text}").where
-        rendered = render_predicate(tree)
+        assert render_predicate(tree) == rendered, text
         reparsed = parse_text(f"SELECT * FROM T WHERE {rendered}").where
         assert reparsed == tree, (text, rendered)
 

@@ -270,6 +270,29 @@ def test_statements_nested_too_deep_are_error_blocks(tmp_path):
     assert transcript.count("ORA-00900: invalid SQL statement") == 3
 
 
+def test_long_and_or_chains_are_one_node_at_any_length(tmp_path):
+    n = 10000
+    ands = " AND ".join(["A = 1"] * n)
+    ors = " OR ".join([f"A = {k}" for k in range(2, n + 1)] + ["A = 1"])
+    # One term a line, so the failing comparison sits on line 10,000.
+    wrong = "\nOR ".join([f"A = {k}" for k in range(2, n + 1)] + ["B = 1"])
+    script = tmp_path / "chains.sql"
+    script.write_text(
+        "CREATE TABLE T(A NUMBER(5), B VARCHAR2(5));\n"
+        "INSERT INTO T VALUES(1, 'x');\n"
+        f"SELECT A FROM T WHERE {ands};\n"
+        f"SELECT A FROM T WHERE {ors};\n"
+        f"SELECT A FROM T WHERE {wrong};\n")
+    session = make_session()
+    run_script(session, str(script))
+    assert session.out.getvalue() == (
+        "\nTable created.\n\n\n1 row created.\n\n"
+        "\nA\n-\n1\n\n\nA\n-\n1\n\n"
+        "OR B = 1\n     *\nERROR at line 10000:\n"
+        "ORA-01722: invalid number\n\n")
+    assert session.error_count == 1
+
+
 def test_strict_exit_code(tmp_path):
     script = write_script(tmp_path, "SELECT * FROM NOWHERE;\n")
     assert run_cli(["--script", script]).returncode == 0
