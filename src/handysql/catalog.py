@@ -7,7 +7,8 @@ reports); and the counter behind generated SYS_C names.  The constraint
 list is the only record of nullability: a column is NOT NULL when a
 NOTNULL or PK constraint lists it.  BUILTINS declares the read-only
 relations DUAL and USER_CONSTRAINTS, each as a table, whose own row
-list stays empty, and a function from the database to its rows.
+list stays empty, and a function from the database to its rows.  A name
+is a word that is its own lexer.fold and no keyword (is_name).
 
 Each PRIMARY KEY and UNIQUE constraint holds an index of its table's
 stored keys, as Oracle enforces these constraints with a unique index.
@@ -21,15 +22,13 @@ grows.
 
 from __future__ import annotations
 
-import re
-import unicodedata
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import constraints as checks
 from .errors import OraError, violation_error
 from .evaluate import Test, compile_predicate, kind_mismatch, predicate_nodes
-from .lexer import KEYWORDS, TokenKind
+from .lexer import KEYWORDS, WORD, TokenKind, fold
 from .nodes import (
     AggregateCall, AlterAddConstraint, AlterModify, CheckBody, ColumnRef,
     CreateTable, FallbackBody, Predicate, PrimaryKeyBody,
@@ -165,30 +164,13 @@ BUILTINS: dict[str, tuple[Table,
 
 Position = tuple[int, int]  # (line, column)
 
-# Names as DDL writes them.  The lexer reads an identifier as
-# [^\W\d][\w$#]* whose first character is a letter or "_", and folds
-# it to upper case.
-_IDENTIFIER = re.compile(r"[^\W\d][\w$#]*")
-# A character and the characters after it that no identifier holds.  A
-# few letters upper-case to a letter and combining marks ("ǰ" to "J" and
-# U+030C), which compose back to that one letter once lower-cased.
-_MARKED = re.compile(r"[\w$#][^\w$#]+")
-
-
-def _unfold(marked: re.Match[str]) -> str:
-    letter = unicodedata.normalize("NFC", marked[0].lower())
-    return letter if letter.upper() == marked[0] else marked[0]
-
-
 def is_name(name: str) -> bool:
-    """Whether DDL could have written the name: a folded identifier."""
+    """Whether DDL could write name: one word, its own fold, no keyword."""
     if name.isupper() and name.isascii() and name.isidentifier():
         return name not in KEYWORDS  # most names, in three C calls
-    if name.upper() != name or name in KEYWORDS:
-        return False
-    typed = _MARKED.sub(_unfold, name)
-    return (_IDENTIFIER.fullmatch(typed) is not None
-            and (typed[0].isalpha() or typed[0] == "_"))
+    return (WORD.fullmatch(name) is not None
+            and (name[0].isalpha() or name[0] == "_")
+            and fold(name) == name and name not in KEYWORDS)
 
 
 def define_table(db: Database, name: str,
@@ -198,9 +180,9 @@ def define_table(db: Database, name: str,
 
     A name that a stored table or a built-in already has is 955 at
     `at`, and a column name that an earlier column has is 957 at its
-    own position.  A table or column name that is not an identifier as
-    the lexer reads and folds it to upper case, and a table without
-    columns, are 904, which only a snapshot can reach past the parser.
+    own position.  A table or column name that is_name refuses, and a
+    table without columns, are 904, which only a snapshot can reach
+    past the parser.
     columns is read one by one after the name passes; nothing is added
     unless every column does.
     """

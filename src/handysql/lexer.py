@@ -1,8 +1,8 @@
 """Tokenizer with Oracle-style identifier folding and 1-based positions.
 
-Bare identifiers and keywords fold to uppercase; quoted identifiers and
-string literals keep their case.  '&NAME' becomes a substitution-marker
-token when the shell has not already resolved it.
+A WORD (a letter or "_" first) is a keyword or an identifier, upper-cased
+by fold; quoted identifiers and string literals keep their case.  '&NAME'
+becomes a substitution-marker token when the shell has not resolved it.
 
 One findall of a compiled pattern splits a statement into (leading
 whitespace, token) pairs, and an empty token marks the end.  Each
@@ -32,6 +32,17 @@ KEYWORDS = frozenset({
 AGGREGATE_FUNCS = frozenset({"AVG", "MIN", "MAX", "SUM", "COUNT"})
 
 _NT = TypeVar("_NT")
+
+WORD = re.compile(r"[^\W\d][\w$#]*")
+
+
+def fold(word: str) -> str:
+    """A word's upper case, char by char where that is one character on
+    the same side of ASCII: "é" is "É", but "ſ", "ı", "ß" and "ǰ" stay,
+    so a word outside ASCII folds to no keyword and no ASCII name."""
+    return "".join([upper if len(upper := char.upper()) == 1
+                    and upper.isascii() == char.isascii() else char
+                    for char in word])
 
 
 class TokenKind(Enum):
@@ -91,21 +102,20 @@ class Token(NamedTuple):
 
 
 # Each token after its leading whitespace; the alternatives are tried
-# in order.  A word is [\w$#]* after a letter or "_".  "[^\W\d]" also
-# admits numeric characters that are not decimal digits ("²", "½");
-# tokenize turns those away with str.isalpha.  A string closes at a
-# quote not followed by another: "''" inside it stands for one quote,
-# and the lookahead keeps "'ab''" from closing at the first quote of
-# its "''".  An empty token is the end of the text, and any other
-# single character (a lone quote, "!" or "-" among them) is an error
-# where it stands.
-_PAIR = re.compile(r"""(\s*)(
-    [^\W\d][\w$\#]*
+# in order.  [^\W\d] also admits numerals that are not decimal digits
+# ("²", "½"); tokenize turns away a WORD that starts with one.  A
+# string closes at a quote not followed by another: "''" inside it
+# stands for one quote, and the lookahead keeps "'ab''" from closing at
+# the first quote of its "''".  An empty token is the end of the text,
+# and any other single character (a lone quote, "!" or "-" among them)
+# is an error where it stands.
+_PAIR = re.compile(rf"""(\s*)(
+    {WORD.pattern}
   | -?\d+(?:\.\d+)?
   | <>|<=|>=|!=|[<>=(),*.]
   | '(?:[^']|'')*'(?!')
   | "[^"]*"
-  | &[^\W\d][\w$\#]*
+  | &{WORD.pattern}
   | \Z
   | .
 )""", re.VERBOSE | re.DOTALL)
@@ -156,7 +166,8 @@ def tokenize(text: str) -> list[Token]:
             else:
                 raise OraError(900, line, column)
         if kind is _IDENT:
-            lexeme = lexeme.upper()
+            # fold, with its ASCII case inline: most words are ASCII.
+            lexeme = lexeme.upper() if lexeme.isascii() else fold(lexeme)
             if lexeme in KEYWORDS:
                 kind = _KEYWORD
         elif kind is _PUNCT or kind is _NUMBER:

@@ -415,10 +415,11 @@ def parse(tokens: list[Token]) -> Statement:
 
 # An INSERT of literals, read whole by one match of _INSERT: the table
 # name, the column list and the value list are its groups.  A name is
-# ASCII, and its lookahead keeps a backtrack from ending it early, so
-# "TVALUES" is never "T" "VALUES".  Keywords match ASCII letters only
-# ("(?ai:...)"), since IGNORECASE alone also takes "İ" for "i".  A
-# string holds no line break; "''" inside it stands for one quote.
+# ASCII, so str.upper is its lexer.fold, and a lookahead keeps a
+# backtrack from ending it early ("TVALUES" is never "T" "VALUES").
+# Keywords match ASCII letters only ("(?ai:...)"), since IGNORECASE
+# alone also takes "İ" for "i".  A string holds no line break; "''"
+# inside it stands for one quote.
 _NAME = r"[A-Za-z_][A-Za-z0-9_$\#]*(?![\w$\#])"
 _VALUE = r"""(?:-?[0-9]+(?:\.[0-9]+)?
   | '[^'\n]*(?:''[^'\n]*)*'(?!')

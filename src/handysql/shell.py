@@ -8,7 +8,8 @@ piped session writes the exact transcript a script run would.  A
 result set is drawn column by column: a column holds one kind of value,
 so its first non-NULL value picks the display of all (plain positional
 numbers, right-aligned; DD-MON-YY dates; text as it is), and each
-column is padded to its widest cell.
+column is padded to its widest cell.  A statement's &NAME markers take
+values typed at a prompt or bound by name, matched by lexer.fold.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from typing import TextIO
 from . import persistence
 from .errors import OraError, render_error
 from .executor import Database, Feedback, Listing, ResultSet, execute
+from .lexer import WORD, fold
 from .parser import parse_text
 from .values import value_codec
 
 PROMPT = "SQL> "
 
-_SUBST = re.compile(r"&([A-Za-z][A-Za-z0-9_$#]*)")
+_SUBST = re.compile(f"&({WORD.pattern})")
 
 
 def continuation_prompt(n: int) -> str:
@@ -125,11 +127,12 @@ def substitute_variables(
 ) -> tuple[str, list[str]]:
     """Resolve &NAME markers left to right.
 
-    Interactive mode (bindings None) prompts on the session streams as
-    it goes and returns no lines; script mode consumes the first
-    unused binding with a matching name and returns the prompt lines
-    it would have shown, so both modes emit identical transcripts.
-    Every occurrence is resolved afresh.
+    A marker's name is a word as the lexer reads it.  Interactive mode
+    (bindings None) prompts on the session streams as it goes and
+    returns no lines; script mode consumes the first unused binding
+    whose name has the marker's fold and returns the prompt lines it
+    would have shown, so both modes emit identical transcripts.  Every
+    occurrence is resolved afresh.
     """
     if "&" not in text:
         return text, []
@@ -138,16 +141,18 @@ def substitute_variables(
 
     def fill(match: re.Match[str]) -> str:
         name = match.group(1)
+        if not (name[0].isalpha() or name[0] == "_"):
+            return match[0]  # "&½" is the lexer's to refuse
         display = name.lower()
         if remaining is None:
             value = session.read_line(f"Enter value for {display}: ")
             if value is None:
                 raise ShellEOF()
         else:
-            for i, (bname, bvalue) in enumerate(remaining):
-                if bname.upper() == name.upper():
+            key = name.upper() if name.isascii() else fold(name)
+            for i, (bname, value) in enumerate(remaining):
+                if (bname.upper() if bname.isascii() else fold(bname)) == key:
                     del remaining[i]
-                    value = bvalue
                     break
             else:
                 raise SubstitutionError(name, lines)

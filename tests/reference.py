@@ -653,11 +653,25 @@ def _ident_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_"
 
 
+def _fold_char(ch: str) -> str:
+    """One character of a word as an unquoted name reads it.
+
+    Its upper case, when that is a single character on the same side of
+    code point 128; otherwise the character itself.
+    """
+    up = ch.upper()
+    if len(up) == 1 and (ord(up) < 128) == (ord(ch) < 128):
+        return up
+    return ch
+
+
 def reference_tokenize(text: str) -> list[tuple]:
     """(kind, lexeme, line, column) of each token, scanned by hand.
 
     The engine's lexer before it became one regular expression, except
-    that numbers take str.isdecimal digits where it took str.isdigit.
+    that numbers take str.isdecimal digits where it took str.isdigit,
+    and a word folds a character at a time (_fold_char), not by
+    str.upper.
     Errors raise OraError: 1756 at an unclosed quote, 900 elsewhere.
     """
     sc = _Scanner(text)
@@ -675,7 +689,7 @@ def reference_tokenize(text: str) -> list[tuple]:
         elif ch.isdecimal() or (ch == "-" and sc.peek(1).isdecimal()):
             kind, lexeme = TokenKind.NUMBER, sc.number()
         elif _ident_start(ch):
-            lexeme = sc.word().upper()
+            lexeme = "".join(_fold_char(c) for c in sc.word())
             kind = (TokenKind.KEYWORD if lexeme in _KEYWORDS
                     else TokenKind.IDENT)
         elif ch == "&" and _ident_start(sc.peek(1)):

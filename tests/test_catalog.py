@@ -1,3 +1,4 @@
+import re
 import sys
 from decimal import Decimal
 
@@ -8,8 +9,8 @@ from handysql import catalog
 from handysql.catalog import SYS_NAME_SEED, Database, next_sys_name
 from handysql.conformance import load_fixture
 from handysql.errors import OraError
-from handysql.lexer import TokenKind, tokenize
-from handysql.persistence import loads, saves
+from handysql.lexer import Token, TokenKind, fold, tokenize
+from handysql.persistence import SnapshotError, loads, saves
 
 
 def blocks(session, *statements, bindings=None):
@@ -63,33 +64,55 @@ def test_duplicate_column_in_create_is_957(session):
         run_sql(session, "CREATE TABLE T(A NUMBER, A DATE)")) == 957
 
 
-def test_names_folded_to_combining_marks_create_and_round_trip(session):
-    # Upper case writes "ǰ" as J and U+030C, and "ẖ" as H and U+0331.
+def test_names_outside_ascii_save_as_written_and_round_trip(session):
+    # str.upper would write "ǰ" as J and U+030C, and "ẖ" as H and U+0331.
     assert run_sql(session, "CREATE TABLE ǰ(ẖ NUMBER)") == [
         "", "Table created.", ""]
     run_sql(session, "INSERT INTO ǰ VALUES(1)")
     text = saves(session.db)
-    assert "TABLE J\u030c\nCOL H\u0331 NUMBER NULL\n" in text
+    assert "TABLE ǰ\nCOL ẖ NUMBER NULL\n" in text
     assert saves(loads(text)) == text
+    # No word folds to a letter and a combining mark.
+    with pytest.raises(SnapshotError) as info:
+        loads("HANDYDB 1\nTABLE J\u030c\nCOL A NUMBER NULL\n")
+    assert str(info.value).startswith("line 2: table J\u030c: ORA-00904")
 
 
-def test_every_identifier_the_lexer_folds_is_a_name():
-    for code in range(sys.maxunicode + 1):
-        char = chr(code)
-        if char.upper() == char:
-            continue  # the name is the identifier itself
-        for text in (char + "Q", "Q" + char):
+def test_fold_tokenize_and_is_name_agree_on_every_word_character():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert not any(map(catalog.is_name, re.findall(r"[^\w$#]", everything)))
+    for char in re.findall(r"[\w$#]", everything):
+        for text in (char, "A" + char, char + "A"):
             try:
                 tokens = tokenize(text)
             except OraError:
+                tokens = []
+            named = catalog.is_name(text)
+            if named:
+                assert tokens == [Token(TokenKind.IDENT, text)], text
+            if len(tokens) != 1:
                 continue
-            if len(tokens) == 1 and tokens[0].kind is TokenKind.IDENT:
-                assert catalog.is_name(tokens[0].lexeme), text
+            kind, name = tokens[0][:2]
+            if not text.isascii():
+                assert kind is not TokenKind.KEYWORD, text
+                assert not name.isascii(), text
+            if kind is TokenKind.IDENT:
+                assert name == fold(text) and len(name) == len(text), text
+                if name != text:
+                    assert catalog.is_name(name) and fold(name) == name, text
+                else:
+                    assert named, text
 
 
 @pytest.mark.parametrize("name", [
-    "", "a", "Qǰ", "SELECT", "1A", "\u00bdA", "A\u0301", "A-B", "$A",
-    "\u00b2"])
+    "A", "A$#", "_X", "Qǰ", "ǰ", "ß", "ﬁ", "É", "ıNT", "ſELECT"])
+def test_what_an_identifier_folds_to_is_a_name(name):
+    assert catalog.is_name(name)
+
+
+@pytest.mark.parametrize("name", [
+    "", "a", "SELECT", "1A", "\u00bdA", "A\u0301", "A-B", "$A",
+    "\u00b2", "J\u030c", "é", "ınt"])
 def test_what_no_identifier_folds_to_is_no_name(name):
     assert not catalog.is_name(name)
 

@@ -17,6 +17,16 @@ def test_keywords_and_identifiers_fold_to_uppercase():
         (TokenKind.KEYWORD, "DESC"), (TokenKind.IDENT, "STUDENTS")]
 
 
+def test_a_word_outside_ascii_never_folds_into_ascii():
+    # str.upper would read "ſelect" as SELECT, "ınt" as INT, and write
+    # "ǰ" as J and U+030C, "ß" as SS and "ﬁ" as FI.
+    assert kinds("ſelect ınt ǰ ß ﬁ é Qǰ") == [
+        (TokenKind.IDENT, "ſELECT"), (TokenKind.IDENT, "ıNT"),
+        (TokenKind.IDENT, "ǰ"), (TokenKind.IDENT, "ß"),
+        (TokenKind.IDENT, "ﬁ"), (TokenKind.IDENT, "É"),
+        (TokenKind.IDENT, "Qǰ")]
+
+
 def test_string_literal_preserves_case_and_strips_quotes():
     assert kinds("'MiXeD'") == [(TokenKind.STRING, "MiXeD")]
 
@@ -147,7 +157,7 @@ PIECES = ["SELECT", "from", "a1", "_x", "B$#", "'", "''", '"', "'it''s'",
           "'open", '"Open', "1", "-", "-2", "3.5", ".", ",", "(", ")", "*",
           "&", "&v", "<", ">", "!", "=", "<>", "!=", "<=", ">=", " ", "\t",
           "\n", "\r\n", "\u2028", "\x85", "\xa0", "\x1c", "é", "ß", "²",
-          "½", "٣", "&½", "^", ";"]
+          "½", "٣", "&½", "^", ";", "ſelect", "ınt", "ǰ", "ﬁ"]
 
 
 def outcome(tokens_of, text):

@@ -460,6 +460,9 @@ def outcome(read, text):
 # IGNORECASE would take "İ" for "i", which the lexer does not fold to I.
 @example("İNSERT INTO T VALUES (1)")
 @example("ınsert ınto T VALUES (1)")
+# Names outside ASCII take the token path, where "ı" and "ſ" stay.
+@example("INSERT INTO ınt VALUES (1)")
+@example("INSERT INTO T(ſ) VALUES (1)")
 @example("insert into t\n(a,\tb)\u3000values\n( -0 ,'it''s' )\n")
 def test_parse_text_agrees_with_the_token_path(text):
     assert outcome(parse_text, text) == outcome(

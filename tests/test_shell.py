@@ -209,6 +209,29 @@ def test_bind_directives_feed_substitution(tmp_path):
     assert "42" in proc.stdout
 
 
+def test_markers_are_words_bound_by_their_fold(tmp_path):
+    script = write_script(
+        tmp_path,
+        "-- bind _x=5\nSELECT &_x FROM DUAL;\n"
+        # The whole word "aé" is the marker, so "a" does not bind it.
+        "-- bind a=8\nSELECT &aé FROM DUAL;\n"
+        "-- bind é=3\nSELECT &É FROM DUAL;\n"
+        # "ſ" is no "s": str.upper would bind one to the other.
+        "-- bind ſ=1\nSELECT &s FROM DUAL;\n"
+        # A marker that starts with a numeral is the lexer's to refuse.
+        "SELECT &½ FROM DUAL;\n")
+    session = make_session()
+    run_script(session, script)
+    assert session.out.getvalue() == (
+        "Enter value for _x: 5\n\n5\n-\n5\n\n"
+        'no binding for substitution variable "aé"\n\n'
+        "Enter value for é: 3\n\n3\n-\n3\n\n"
+        'no binding for substitution variable "s"\n\n'
+        "SELECT &½ FROM DUAL\n       *\nERROR at line 1:\n"
+        "ORA-00900: invalid SQL statement\n\n")
+    assert session.error_count == 3
+
+
 # Script lines: comments and binds, slashes, exits, statements over
 # several lines, an unbound marker, and literals holding characters
 # str.splitlines would break a line at.
